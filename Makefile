@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint lint-deep monitor-smoke explain-smoke doctor-smoke verify baseline clean
+.PHONY: all build test bench lint lint-deep monitor-smoke explain-smoke doctor-smoke ablation-smoke verify baseline clean
 
 all: build
 
@@ -100,6 +100,21 @@ doctor-smoke: | $(SMOKE_DIR)
 	  --jobs 4 --out $(SMOKE_DIR)/doctor-d.json
 	cmp $(SMOKE_DIR)/doctor-c.json $(SMOKE_DIR)/doctor-d.json
 
+# Offline-ablation smoke (EXPERIMENTS.md "Ablation"): runs Flexile's
+# offline phase end to end under the default, prune-off, cut-sharing-off
+# and Hamming-limit configurations on IBM, and fails unless every
+# variant converges to the same penalty (the last column of each
+# variant row).
+ablation-smoke: | $(SMOKE_DIR)
+	dune build bench/main.exe
+	dune exec --no-build bench/main.exe -- --fig ablation \
+	  | tee $(SMOKE_DIR)/ablation.txt
+	awk '/^  variant/ { on = 1; next } /^  \(on / { on = 0 } \
+	  on && NF { n++; p[$$NF] = 1 } \
+	  END { k = 0; for (v in p) k++; \
+	    if (n != 4 || k != 1) { print "ablation: expected 4 variants at one penalty"; exit 1 } }' \
+	  $(SMOKE_DIR)/ablation.txt
+
 # Relative headroom for the benchmark regression gate.  50% absorbs
 # ordinary same-machine jitter; CI overrides this upward because the
 # committed baseline was recorded on a different machine.
@@ -107,7 +122,8 @@ BENCH_TOLERANCE ?= 50
 
 # Tier-1 verification: full build, both lint stages (syntactic
 # pre-build signal, then the deep typedtree stage over the fresh cmts),
-# the test suite, the monitor/explain/doctor determinism smokes, a
+# the test suite, the monitor/explain/doctor determinism smokes, the
+# offline-ablation smoke, a
 # smoke run of the micro-benchmarks (exercises the parallel sweep at
 # jobs 1 and 4), and the regression gate against the committed
 # baseline.
@@ -119,6 +135,7 @@ verify:
 	$(MAKE) monitor-smoke
 	$(MAKE) explain-smoke
 	$(MAKE) doctor-smoke
+	$(MAKE) ablation-smoke
 	dune exec bench/main.exe -- --micro
 	dune exec bench/main.exe -- --gate --repeat 3 --jobs 2 \
 	  --check BENCH_PR8.json --tolerance $(BENCH_TOLERANCE)

@@ -393,20 +393,18 @@ let fig14 p =
       in
       let off = Flexile_offline.solve ~config inst in
       let optimal =
-        try
-          let ip =
-            Ip_direct.solve
-              ~options:
-                {
-                  Flexile_lp.Mip.default_options with
-                  Flexile_lp.Mip.node_limit = 2000;
-                  time_limit = p.ip_time_limit;
-                }
-              inst
-          in
-          if ip.Ip_direct.optimal then Some (pct (perc inst ip.Ip_direct.losses 1))
-          else None
-        with _ -> None
+        let ip =
+          Ip_direct.solve
+            ~options:
+              {
+                Flexile_lp.Mip.default_options with
+                Flexile_lp.Mip.node_limit = 2000;
+                time_limit = p.ip_time_limit;
+              }
+            inst
+        in
+        if ip.Ip_direct.optimal then Some (pct (perc inst ip.Ip_direct.losses 1))
+        else None
       in
       let lb = pct (Lower_bound.perc_loss_lower_bound inst ~cls:1) in
       let reference = match optimal with Some o -> o | None -> lb in
@@ -439,17 +437,15 @@ let fig15 p =
       let ip_time =
         if List.mem name p.ip_topos then begin
           let t0 = Flexile_util.Trace.now_s () in
-          (try
-             ignore
-               (Ip_direct.solve
-                  ~options:
-                    {
-                      Flexile_lp.Mip.default_options with
-                      Flexile_lp.Mip.node_limit = 2000;
-                      time_limit = p.ip_time_limit;
-                    }
-                  inst)
-           with _ -> ());
+          ignore
+            (Ip_direct.solve
+               ~options:
+                 {
+                   Flexile_lp.Mip.default_options with
+                   Flexile_lp.Mip.node_limit = 2000;
+                   time_limit = p.ip_time_limit;
+                 }
+               inst);
           let t = Flexile_util.Trace.now_s () -. t0 in
           if t >= p.ip_time_limit then Printf.sprintf ">%.0f (TLE)" t
           else Printf.sprintf "%.1f" t
@@ -569,9 +565,7 @@ let ablation p =
   in
   let variants =
     [
-      ("default (cold subproblem solves)", base);
-      ( "dual-simplex warm restarts",
-        { base with Flexile_offline.warm_start = true } );
+      ("default", base);
       ("no scenario pruning", { base with Flexile_offline.prune = false });
       ("no cut sharing (eq. 22)", { base with Flexile_offline.share_cuts = false });
       ( "hamming limit 50 (eq. 23)",

@@ -66,9 +66,9 @@ val scenloss : profile -> unit
 (** §6.3: ScenLoss comparisons and the gamma-bounded variant. *)
 
 val ablation : profile -> unit
-(** Ablation of the §4.2 accelerations (warm starts, pruning, cut
-    sharing, Hamming stabilization): wall time, subproblem count and
-    achieved penalty. *)
+(** Ablation of the §4.2 accelerations (pruning, cut sharing, Hamming
+    stabilization) against the default configuration: wall time,
+    subproblem count and achieved penalty. *)
 
 val all : profile -> unit
 (** Every harness in paper order. *)

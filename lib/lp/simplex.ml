@@ -18,8 +18,8 @@
    a too-small eta pivot.  Pricing is devex with partial pricing over
    static candidate sections, falling back to Bland's rule under
    degeneracy.  The frozen pre-sparse solver survives as
-   [Simplex_dense]; setting FLEXILE_DENSE_SIMPLEX=1 routes this module
-   through it (the differential tests compare the two paths). *)
+   [Simplex_dense], a cold-solve oracle the differential tests and
+   [flexile doctor] compare this module against. *)
 
 let feas_tol = 1e-7
 let opt_tol = 1e-7
@@ -80,7 +80,7 @@ let at_upper = 1
 let basic = 2
 let free = 3
 
-type sp = {
+type t = {
   n : int;
   m : int;
   ntot : int;
@@ -132,7 +132,7 @@ let eta_limit_env () =
   | Some s -> int_of_string_opt s
   | None -> None
 
-let make_sp ?eta_limit ?thresholds model =
+let create ?eta_limit ?thresholds model =
   let n = Lp_model.nvars model and m = Lp_model.nrows model in
   let ntot = n + (2 * m) in
   let lo = Array.make ntot 0. and up = Array.make ntot 0. in
@@ -234,10 +234,12 @@ let dump_on_trip st reasons =
              d_vstat = Array.copy st.vstat;
            })
 
-let make_sp ?eta_limit ?thresholds model =
-  let st = make_sp ?eta_limit ?thresholds model in
+let create ?eta_limit ?thresholds model =
+  let st = create ?eta_limit ?thresholds model in
   Health.set_on_trip st.health (dump_on_trip st);
   st
+
+let make model = create model
 
 (* Iterate over the (row, coefficient) entries of column [j]. *)
 let col_iter st j f =
@@ -982,7 +984,7 @@ let dual_feasible st =
   done;
   !ok
 
-let resolve_rhs_sp ?iter_limit st rhs =
+let dual_resolve ?iter_limit st rhs =
   if Array.length rhs <> st.m then invalid_arg "Simplex.resolve_rhs";
   Array.blit rhs 0 st.b 0 st.m;
   let iter_limit =
@@ -1030,17 +1032,20 @@ let resolve_rhs_sp ?iter_limit st rhs =
           cold ())
   | _ -> cold ()
 
-let solve_warm_sp ?iter_limit st =
+let resolve_rhs ?iter_limit st rhs =
+  Trace.in_span sp_resolve @@ fun () -> dual_resolve ?iter_limit st rhs
+
+let solve_warm ?iter_limit st =
   match st.last_status with
   | Some Optimal ->
       (* model RHS may have been mutated by the caller through the
          handle's captured copy; re-read is the caller's duty via
          [resolve_rhs].  Here just re-run from the current state. *)
-      resolve_rhs_sp ?iter_limit st (Array.copy st.b)
+      dual_resolve ?iter_limit st (Array.copy st.b)
   | _ -> cold_solve ?iter_limit st
 
-let extend_sp st model =
-  let st2 = make_sp model in
+let extend st model =
+  let st2 = create model in
   if st2.n <> st.n || st2.m < st.m then
     invalid_arg "Simplex.extend: model must only gain rows";
   match st.last_status with
@@ -1082,69 +1087,18 @@ let extend_sp st model =
   | _ -> st2
 
 (* ------------------------------------------------------------------ *)
-(* Public interface: sparse by default, the frozen dense reference     *)
-(* when FLEXILE_DENSE_SIMPLEX=1 (differential-testing escape hatch).   *)
-(* ------------------------------------------------------------------ *)
-
-type t = Sp of sp | Dn of Simplex_dense.t
-
-let dense_selected () =
-  match Sys.getenv_opt "FLEXILE_DENSE_SIMPLEX" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let of_dense_status = function
-  | Simplex_dense.Optimal -> Optimal
-  | Simplex_dense.Infeasible -> Infeasible
-  | Simplex_dense.Unbounded -> Unbounded
-  | Simplex_dense.Iteration_limit -> Iteration_limit
-
-let of_dense_solution (s : Simplex_dense.solution) =
-  {
-    status = of_dense_status s.Simplex_dense.status;
-    obj = s.Simplex_dense.obj;
-    x = s.Simplex_dense.x;
-    row_duals = s.Simplex_dense.row_duals;
-    reduced_costs = s.Simplex_dense.reduced_costs;
-    bound_term = s.Simplex_dense.bound_term;
-    iterations = s.Simplex_dense.iterations;
-  }
-
-let make model =
-  if dense_selected () then Dn (Simplex_dense.make model)
-  else Sp (make_sp model)
-
-let solve_warm ?iter_limit t =
-  match t with
-  | Sp st -> solve_warm_sp ?iter_limit st
-  | Dn d -> of_dense_solution (Simplex_dense.solve_warm ?iter_limit d)
-
-let resolve_rhs ?iter_limit t rhs =
-  Trace.in_span sp_resolve @@ fun () ->
-  match t with
-  | Sp st -> resolve_rhs_sp ?iter_limit st rhs
-  | Dn d -> of_dense_solution (Simplex_dense.resolve_rhs ?iter_limit d rhs)
-
-let extend t model =
-  match t with
-  | Sp st -> Sp (extend_sp st model)
-  | Dn d -> Dn (Simplex_dense.extend d model)
-
-let health = function Sp st -> Some st.health | Dn _ -> None
-
-(* ------------------------------------------------------------------ *)
 (* Elevated-instrumentation entry points for [Doctor].                 *)
 (* ------------------------------------------------------------------ *)
 
 let solve_doctor ?iter_limit ?eta_limit ?thresholds model =
-  let st = make_sp ?eta_limit ?thresholds model in
+  let st = create ?eta_limit ?thresholds model in
   Health.set_capture st.health true;
   let sol = cold_solve ?iter_limit st in
   (sol, st.health)
 
 let diagnose_basis ?eta_limit ?thresholds ?(phase = 0) ?(iteration = 0) model
     ~bas ~vstat =
-  let st = make_sp ?eta_limit ?thresholds model in
+  let st = create ?eta_limit ?thresholds model in
   if Array.length bas <> st.m || Array.length vstat <> st.ntot then
     invalid_arg "Simplex.diagnose_basis: dimension mismatch";
   Health.set_capture st.health true;
@@ -1165,16 +1119,12 @@ let diagnose_basis ?eta_limit ?thresholds ?(phase = 0) ?(iteration = 0) model
 
 let solve ?iter_limit model =
   Trace.in_span sp_solve @@ fun () ->
-  if dense_selected () then
-    of_dense_solution (Simplex_dense.solve ?iter_limit model)
-  else begin
-    let st = make_sp model in
-    let sol = cold_solve ?iter_limit st in
-    (if sol.status = Optimal then
-       let viol = Lp_model.max_violation model sol.x in
-       if viol > 1e-5 then
-         Log.warn (fun m ->
-             m "solution of %s violates constraints by %g"
-               (Lp_model.name model) viol));
-    sol
-  end
+  let st = create model in
+  let sol = cold_solve ?iter_limit st in
+  (if sol.status = Optimal then
+     let viol = Lp_model.max_violation model sol.x in
+     if viol > 1e-5 then
+       Log.warn (fun m ->
+           m "solution of %s violates constraints by %g"
+             (Lp_model.name model) viol));
+  sol

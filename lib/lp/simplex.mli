@@ -2,8 +2,9 @@
     simplex for warm restarts after right-hand-side changes.
 
     The basis is held LU-factorized ([Sparse.Basis]) and advanced by
-    product-form eta updates; the frozen dense-inverse solver survives
-    as [Simplex_dense] for differential testing.  It produces dual
+    product-form eta updates; this is the only LP engine in production
+    (the frozen dense-inverse solver [Simplex_dense] is a test and
+    [flexile doctor] oracle).  It produces dual
     certificates: row duals, reduced costs, and a parametric lower
     bound usable as a Benders cut when only the RHS varies (the
     reformulation (17)–(18) of the paper).
@@ -46,9 +47,11 @@ val solve : ?iter_limit:int -> Lp_model.t -> solution
 
     A [t] captures the model structure (columns, bounds, costs) at
     creation time; [resolve_rhs] then re-optimizes for a new RHS with
-    the dual simplex starting from the previous optimal basis.  This is
-    the paper's "the dual solution space is common across the LPs for
-    different scenarios" acceleration. *)
+    the dual simplex starting from the previous optimal basis, and
+    [extend] keeps the basis when rows are appended.  {!Row_gen}'s
+    cutting-plane loop is the production caller; scenario LPs are
+    always cold-solved with {!solve}, which measured far faster here
+    than dual restarts between dissimilar scenarios. *)
 
 type t
 
@@ -76,9 +79,6 @@ val extend : t -> Lp_model.t -> t
 
     Phase tags in health samples and stall notes: 0 setup, 1 phase-1
     primal, 2 phase-2 primal, 3 dual (warm restart). *)
-
-val health : t -> Health.state option
-(** The solver's health state; [None] on the dense fallback path. *)
 
 val solve_doctor :
   ?iter_limit:int ->

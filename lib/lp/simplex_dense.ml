@@ -1,13 +1,13 @@
 (* Frozen dense reference implementation of the two-phase
-   bounded-variable revised simplex (primal + dual for RHS restarts).
+   bounded-variable revised primal simplex.
 
-   This is the pre-sparse solver kept verbatim (minus trace probes) as
-   the differential oracle for the LU/eta path in [Simplex]: set
-   FLEXILE_DENSE_SIMPLEX=1 to route [Simplex] through this module, or
-   call it directly from tests.  It maintains an explicit dense m*m
-   basis inverse, updated in O(m^2) per pivot and rebuilt by
-   Gauss-Jordan on numerical failure.  Do not extend it — new solver
-   work belongs in [Simplex]/[Sparse].
+   This is the pre-sparse solver kept verbatim (minus trace probes and
+   its dual-simplex restarts) as the differential oracle for the LU/eta
+   path in [Simplex]: the sparse differential tests and the
+   [flexile doctor] cross-check cold-solve through it.  It maintains an
+   explicit dense m*m basis inverse, updated in O(m^2) per pivot and
+   rebuilt by Gauss-Jordan on numerical failure.  Do not extend it —
+   new solver work belongs in [Simplex]/[Sparse].
 
    Computational form: rows become equalities [A x + s = b] with one
    slack per row (coefficient +1) whose bounds encode the sense:
@@ -40,11 +40,6 @@ type solution = {
   iterations : int;
 }
 
-let dual_bound sol ~rhs =
-  let s = ref sol.bound_term in
-  Array.iteri (fun i y -> s := !s +. (y *. rhs.(i))) sol.row_duals;
-  !s
-
 (* Nonbasic-at-lower / -at-upper / basic / nonbasic-free (value 0). *)
 let at_lower = 0
 let at_upper = 1
@@ -65,7 +60,6 @@ type t = {
   binv : float array array;
   xb : float array;
   xn : float array; (* bound value of each nonbasic variable *)
-  mutable last_status : status option;
 }
 
 let slack_bounds sense =
@@ -108,7 +102,6 @@ let make model =
     binv = Array.init m (fun _ -> Array.make m 0.);
     xb = Array.make m 0.;
     xn = Array.make ntot 0.;
-    last_status = None;
   }
 
 (* Iterate over the (row, coefficient) entries of column [j]. *)
@@ -519,7 +512,6 @@ let extract_solution st ~status ~iterations =
   for j = 0 to n - 1 do
     obj := !obj +. (st.cost.(j) *. x.(j))
   done;
-  st.last_status <- Some status;
   {
     status;
     obj = !obj;
@@ -581,254 +573,6 @@ let cold_solve ?iter_limit st =
     | P_iter_limit ->
         extract_solution st ~status:Iteration_limit ~iterations:!iters
   end
-
-(* ------------------------------------------------------------------ *)
-(* Dual simplex for RHS-only changes.                                  *)
-(* ------------------------------------------------------------------ *)
-
-type dual_result = D_optimal | D_infeasible | D_iter_limit
-
-let dual_loop st ~iter_limit iters =
-  let m = st.m in
-  let rho = Array.make m 0. in
-  let w = Array.make m 0. in
-  let y = Array.make m 0. in
-  let d = Array.make st.ntot 0. in
-  let recompute_duals () =
-    btran st st.cost y;
-    for j = 0 to st.ntot - 1 do
-      if st.vstat.(j) <> basic then d.(j) <- st.cost.(j) -. col_dot st y j
-    done
-  in
-  recompute_duals ();
-  let zero_steps = ref 0 in
-  let result = ref None in
-  while !result = None do
-    if !iters >= iter_limit then result := Some D_iter_limit
-    else begin
-      incr iters;
-      if !iters mod 4096 = 0 then begin
-        recompute_xb st;
-        recompute_duals ()
-      end;
-      (* --- leaving: most violated basic variable --- *)
-      let r = ref (-1) and viol = ref feas_tol and above = ref false in
-      for i = 0 to m - 1 do
-        let q = st.bas.(i) in
-        let below_v = st.lo.(q) -. st.xb.(i) in
-        let above_v = st.xb.(i) -. st.up.(q) in
-        if below_v > !viol then begin
-          viol := below_v;
-          r := i;
-          above := false
-        end;
-        if above_v > !viol then begin
-          viol := above_v;
-          r := i;
-          above := true
-        end
-      done;
-      if !r = -1 then result := Some D_optimal
-      else begin
-        let r = !r in
-        Array.blit st.binv.(r) 0 rho 0 m;
-        let bland = !zero_steps > degen_threshold in
-        (* --- entering: dual ratio test --- *)
-        let enter = ref (-1) and best_ratio = ref infinity and best_alpha = ref 0. in
-        for j = 0 to st.ntot - 1 do
-          let stt = st.vstat.(j) in
-          if stt <> basic && st.lo.(j) < st.up.(j) then begin
-            let alpha = col_dot st rho j in
-            if Float.abs alpha > pivot_tol then begin
-              let candidate =
-                if !above then
-                  (stt = at_lower && alpha > 0.)
-                  || (stt = at_upper && alpha < 0.)
-                  || stt = free
-                else
-                  (stt = at_lower && alpha < 0.)
-                  || (stt = at_upper && alpha > 0.)
-                  || stt = free
-              in
-              if candidate then begin
-                let ratio = Float.abs d.(j) /. Float.abs alpha in
-                (* Bland anti-cycling still honors the dual ratio test:
-                   among (near-)minimal ratios take the smallest index,
-                   otherwise dual feasibility would be destroyed. *)
-                let better =
-                  ratio < !best_ratio -. 1e-12
-                  || ratio < !best_ratio +. 1e-12
-                     &&
-                     if bland then !enter = -1 || j < !enter
-                     else Float.abs alpha > Float.abs !best_alpha
-                in
-                if better then begin
-                  enter := j;
-                  best_ratio := Float.min ratio !best_ratio;
-                  best_alpha := alpha
-                end
-              end
-            end
-          end
-        done;
-        if !enter = -1 then result := Some D_infeasible
-        else begin
-          let j = !enter in
-          if !best_ratio <= 1e-10 then incr zero_steps else zero_steps := 0;
-          let alpha_j = !best_alpha in
-          let q = st.bas.(r) in
-          let target = if !above then st.up.(q) else st.lo.(q) in
-          let delta = (st.xb.(r) -. target) /. alpha_j in
-          ftran st j w;
-          for i = 0 to m - 1 do
-            if i <> r then st.xb.(i) <- st.xb.(i) -. (w.(i) *. delta)
-          done;
-          st.vstat.(q) <- (if !above then at_upper else at_lower);
-          st.xn.(q) <- target;
-          update_binv st r w;
-          st.bas.(r) <- j;
-          st.vstat.(j) <- basic;
-          st.xb.(r) <- st.xn.(j) +. delta;
-          (* update duals: d'_k = d_k - (d_j/alpha_j) * alpha_k *)
-          let theta = d.(j) /. alpha_j in
-          if Float_cmp.nonzero theta then begin
-            for k = 0 to st.ntot - 1 do
-              if st.vstat.(k) <> basic then begin
-                let alpha_k = col_dot st rho k in
-                d.(k) <- d.(k) -. (theta *. alpha_k)
-              end
-            done
-          end;
-          d.(q) <- -.theta;
-          d.(j) <- 0.
-        end
-      end
-    end
-  done;
-  match !result with Some r -> r | None -> assert false
-
-(* A posteriori optimality check for the dual simplex: the final basis
-   must be dual feasible under exactly-recomputed reduced costs.  If
-   drift broke it, fall back to a cold solve rather than return a
-   primal-feasible but suboptimal point. *)
-let dual_feasible st =
-  let y = Array.make st.m 0. in
-  btran st st.cost y;
-  let ok = ref true in
-  for j = 0 to st.ntot - 1 do
-    if !ok && st.vstat.(j) <> basic && st.lo.(j) < st.up.(j) then begin
-      let d = st.cost.(j) -. col_dot st y j in
-      if st.vstat.(j) = at_lower && d < -1e-6 then ok := false
-      else if st.vstat.(j) = at_upper && d > 1e-6 then ok := false
-      else if st.vstat.(j) = free && Float.abs d > 1e-6 then ok := false
-    end
-  done;
-  !ok
-
-let resolve_rhs ?iter_limit st rhs =
-  if Array.length rhs <> st.m then invalid_arg "Simplex.resolve_rhs";
-  Array.blit rhs 0 st.b 0 st.m;
-  let iter_limit =
-    match iter_limit with Some l -> l | None -> default_iter_limit st
-  in
-  let cold () = cold_solve ~iter_limit st in
-  match st.last_status with
-  | Some Optimal -> (
-      recompute_xb st;
-      let iters = ref 0 in
-      match dual_loop st ~iter_limit iters with
-      | D_optimal ->
-          if dual_feasible st then
-            extract_solution st ~status:Optimal ~iterations:!iters
-          else begin
-            Log.debug (fun m ->
-                m "dual simplex drifted out of dual feasibility; cold re-solve");
-            cold ()
-          end
-      | D_infeasible ->
-          (* confirm with a cold solve to guard against numerics *)
-          let sol = cold () in
-          if sol.status = Optimal then sol
-          else
-            (* the warm dual correctly proved infeasibility *)
-            extract_solution st ~status:Infeasible ~iterations:!iters
-      | D_iter_limit -> cold ())
-  | _ -> cold ()
-
-let solve_warm ?iter_limit st =
-  match st.last_status with
-  | Some Optimal ->
-      (* model RHS may have been mutated by the caller through the
-         handle's captured copy; re-read is the caller's duty via
-         [resolve_rhs].  Here just re-run from the current state. *)
-      resolve_rhs ?iter_limit st (Array.copy st.b)
-  | _ -> cold_solve ?iter_limit st
-
-let extend st model =
-  let st2 = make model in
-  if st2.n <> st.n || st2.m < st.m then
-    invalid_arg "Simplex.extend: model must only gain rows";
-  match st.last_status with
-  | Some Optimal -> (
-      let remap j =
-        if j < st.n then j
-        else if j < st.n + st.m then st2.n + (j - st.n)
-        else st2.n + st2.m + (j - st.n - st.m)
-      in
-      for j = 0 to st.n - 1 do
-        st2.vstat.(j) <- st.vstat.(j);
-        st2.xn.(j) <- st.xn.(j)
-      done;
-      for i = 0 to st.m - 1 do
-        let os = st.n + i and oa = st.n + st.m + i in
-        st2.vstat.(remap os) <- st.vstat.(os);
-        st2.xn.(remap os) <- st.xn.(os);
-        st2.vstat.(remap oa) <- at_lower;
-        st2.xn.(remap oa) <- 0.
-      done;
-      for i = 0 to st.m - 1 do
-        let b = remap st.bas.(i) in
-        st2.bas.(i) <- b;
-        st2.vstat.(b) <- basic
-      done;
-      for i = st.m to st2.m - 1 do
-        st2.bas.(i) <- st2.n + i;
-        st2.vstat.(st2.n + i) <- basic
-      done;
-      (* Block inverse: with the new rows' slacks basic the basis is
-         B' = [[B, 0], [C, I]], so B'^-1 = [[B^-1, 0], [-C B^-1, I]]
-         where C is the new rows' coefficients on the old basic
-         columns (all structural: old slacks never appear in new
-         rows). *)
-      let pos_of_var = Array.make st.n (-1) in
-      for i = 0 to st.m - 1 do
-        if st.bas.(i) < st.n then pos_of_var.(st.bas.(i)) <- i
-      done;
-      for i = 0 to st.m - 1 do
-        let src = st.binv.(i) and dst = st2.binv.(i) in
-        Array.fill dst 0 st2.m 0.;
-        Array.blit src 0 dst 0 st.m
-      done;
-      for r = st.m to st2.m - 1 do
-        let dst = st2.binv.(r) in
-        Array.fill dst 0 st2.m 0.;
-        List.iter
-          (fun (j, a) ->
-            if j < st.n && pos_of_var.(j) >= 0 then begin
-              let bk = st.binv.(pos_of_var.(j)) in
-              for t = 0 to st.m - 1 do
-                dst.(t) <- dst.(t) -. (a *. bk.(t))
-              done
-            end)
-          (Lp_model.row_coeffs model r);
-        dst.(r) <- 1.
-      done;
-      recompute_xb st2;
-      (* same costs, appended basic slacks: the old duals remain
-         feasible, so flag the state warm for the dual simplex *)
-      st2.last_status <- Some Optimal;
-      st2)
-  | _ -> st2
 
 let solve ?iter_limit model =
   let st = make model in

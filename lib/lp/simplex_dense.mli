@@ -2,10 +2,9 @@
 
     The pre-sparse solver (explicit dense basis inverse, O(m^2) pivots)
     kept as a differential oracle for the LU/eta-file path in
-    {!Simplex}.  [Simplex] routes through this module when
-    [FLEXILE_DENSE_SIMPLEX=1] is set; the sparse differential tests also
-    call it directly.  Mirrors the historical [Simplex] interface; new
-    solver work belongs in {!Simplex} / {!Sparse}, not here. *)
+    {!Simplex}: the sparse differential tests and the [flexile doctor]
+    cross-check compare against its cold solve.  New solver work
+    belongs in {!Simplex} / {!Sparse}, not here. *)
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit
 
@@ -19,13 +18,5 @@ type solution = {
   iterations : int;
 }
 
-val dual_bound : solution -> rhs:float array -> float
-
 val solve : ?iter_limit:int -> Lp_model.t -> solution
-
-type t
-
-val make : Lp_model.t -> t
-val solve_warm : ?iter_limit:int -> t -> solution
-val resolve_rhs : ?iter_limit:int -> t -> float array -> solution
-val extend : t -> Lp_model.t -> t
+(** Solve from a cold (slack) basis; same contract as {!Simplex.solve}. *)

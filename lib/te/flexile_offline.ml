@@ -43,7 +43,6 @@ type config = {
   gamma : float option;
   share_cuts : bool;
   prune : bool;
-  warm_start : bool;
   jobs : int;
   master : Mip.options;
 }
@@ -55,17 +54,10 @@ let default_config =
     gamma = None;
     share_cuts = true;
     prune = true;
-    (* The paper's warm-start acceleration targets Gurobi, where dual
-       restarts amortize factorization.  With this repository's
-       simplex (incremental pricing, dense inverse) a cold primal
-       solve is ~30x faster than a dual restart between dissimilar
-       scenarios — the `--fig ablation` bench measures exactly this —
-       so cold solves are the default.  The RHS-only reformulation
-       still matters: it is what makes cut sharing (22) valid. *)
-    warm_start = false;
     (* 0 = auto: FLEXILE_JOBS or one worker domain per core.  The
-       subproblem sweep shards scenarios over the Parallel pool; with
-       the default cold solves the result is bit-identical to jobs=1. *)
+       subproblem sweep shards scenarios over the Parallel pool; every
+       subproblem is cold-solved, so the result is bit-identical to
+       jobs=1. *)
     jobs = 0;
     master = { Mip.default_options with node_limit = 400; time_limit = 30. };
   }
@@ -103,7 +95,6 @@ type cut = { target : int; coef : (int * float) array; const : float }
 
 type template = {
   model : Lp_model.t;
-  st : Simplex.t;
   l_var : int array;  (** fid -> loss var or -1 *)
   crit_row : int array;  (** fid -> criticality row or -1 *)
   gamma_row : int array;  (** fid -> gamma row or -1 *)
@@ -196,16 +187,7 @@ let build_template ?sid inst ~with_gamma =
   let base_rhs =
     Array.init (Lp_model.nrows model) (fun r -> Lp_model.rhs model r)
   in
-  {
-    model;
-    st = Simplex.make model;
-    l_var;
-    crit_row;
-    gamma_row;
-    cap_row;
-    demand_contrib;
-    base_rhs;
-  }
+  { model; l_var; crit_row; gamma_row; cap_row; demand_contrib; base_rhs }
 
 let scenario_rhs inst tpl ~sid ~z ~scen_loss_opt ~gamma =
   let rhs = Array.copy tpl.base_rhs in
@@ -535,16 +517,18 @@ let selfcheck_subproblems ?jobs inst =
         Array.init nq (fun q ->
             f.Instance.demand > 0. && Instance.flow_connected inst f q))
   in
-  (* each worker shard owns a template: the warm dual-simplex restarts
-     stay shard-local, and every shard's warm objectives must still
-     agree with an independent cold solve — this is exactly the
-     parallel ≡ sequential contract of the scenario engine *)
+  (* each worker shard owns a template and a simplex state that the
+     dual simplex warm-restarts across its scenarios (the restart
+     [Row_gen] relies on); every warm objective must agree with an
+     independent cold solve, shard by shard *)
   let results =
     Scenario_engine.sweep ?jobs inst
-      ~init:(fun _ -> build_template inst ~with_gamma:false)
-      ~f:(fun tpl sid ->
+      ~init:(fun _ ->
+        let tpl = build_template inst ~with_gamma:false in
+        (tpl, Simplex.make tpl.model))
+      ~f:(fun (tpl, st) sid ->
         let rhs = scenario_rhs inst tpl ~sid ~z ~scen_loss_opt ~gamma:None in
-        let warm = Simplex.resolve_rhs tpl.st rhs in
+        let warm = Simplex.resolve_rhs st rhs in
         Array.iteri (fun r v -> Lp_model.set_rhs tpl.model r v) rhs;
         let cold = Simplex.solve tpl.model in
         let agree =
@@ -580,11 +564,11 @@ let solve ?(config = default_config) inst =
   in
   let jobs = Parallel.resolve_jobs (Some config.jobs) in
   (* Per-worker-shard subproblem templates, created lazily and kept
-     across iterations: each shard owns a Simplex.t, so the paper's
-     dual-simplex warm restarts survive within a shard while no solver
-     state is ever shared across domains.  Slot [w] is only ever
-     touched by the worker holding slot [w] of the current sweep; the
-     pool's handoff protocol orders those accesses. *)
+     across iterations: each shard owns a model whose RHS it rewrites
+     per scenario, so no model is ever shared across domains.  Slot
+     [w] is only ever touched by the worker holding slot [w] of the
+     current sweep; the pool's handoff protocol orders those
+     accesses. *)
   let templates = Array.make jobs None in
   let template_for w =
     match templates.(w) with
@@ -624,7 +608,7 @@ let solve ?(config = default_config) inst =
   let duals_pool = ref [] in
   let subproblems = ref 0 in
   (* with per-scenario traffic matrices the LP's left-hand side varies,
-     so warm restarts and cross-scenario cuts do not apply *)
+     so cross-scenario cuts do not apply *)
   let has_demand_factors = inst.Instance.demand_factors <> None in
   let share_cuts = config.share_cuts && not has_demand_factors in
   (* Worker-side subproblem solve: reads [z]/[scen_loss_opt] (frozen
@@ -641,14 +625,8 @@ let solve ?(config = default_config) inst =
     let rhs =
       scenario_rhs inst tpl_q ~sid ~z ~scen_loss_opt ~gamma:config.gamma
     in
-    let sol =
-      if config.warm_start && not has_demand_factors then
-        Simplex.resolve_rhs tpl_q.st rhs
-      else begin
-        Array.iteri (fun r v -> Lp_model.set_rhs tpl_q.model r v) rhs;
-        Simplex.solve tpl_q.model
-      end
-    in
+    Array.iteri (fun r v -> Lp_model.set_rhs tpl_q.model r v) rhs;
+    let sol = Simplex.solve tpl_q.model in
     match sol.Simplex.status with
     | Simplex.Optimal ->
         let loss_col =
@@ -829,10 +807,6 @@ let solve ?(config = default_config) inst =
 
 let trace_summary () =
   let v name = float_of_int (Trace.value_by_name name) in
-  let warm_attempts = v "simplex.warm_attempts" in
-  let hit_rate =
-    if warm_attempts > 0. then v "simplex.warm_hits" /. warm_attempts else 0.
-  in
   [
     ("iterations", v "flexile.iterations");
     ("subproblems_solved", v "flexile.subproblems_solved");
@@ -841,8 +815,6 @@ let trace_summary () =
     ("cuts_shared", v "flexile.cuts_shared");
     ("hamming_flips", v "flexile.hamming_flips");
     ("master_solves", v "flexile.master_solves");
-    ("warm_start_attempts", warm_attempts);
-    ("warm_start_hit_rate", hit_rate);
     ( "subproblem_sweep_seconds",
       Trace.timer_seconds_by_name "flexile.subproblem_sweep" );
     ("master_seconds", Trace.timer_seconds_by_name "flexile.master");

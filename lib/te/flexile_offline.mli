@@ -5,10 +5,13 @@
     Implements Algorithm 1 with the paper's accelerations:
     - the problem is decomposed into a master MIP proposing critical
       scenarios and one small LP subproblem per scenario;
-    - subproblems use the RHS-only reformulation (17)-(18), so a single
-      simplex instance is warm-restarted across scenarios with the dual
-      simplex, and one scenario's dual solution yields valid cuts for
-      every other scenario (cut sharing, eq. (22));
+    - subproblems use the RHS-only reformulation (17)-(18), so one
+      template model serves every scenario with only its RHS rewritten,
+      and one scenario's dual solution yields valid cuts for every
+      other scenario (cut sharing, eq. (22)).  Each subproblem is
+      solved cold: the paper's dual-simplex warm restarts across
+      scenarios measured ~100x slower than cold solves with this
+      repository's simplex, so they are not used;
     - perfect scenarios (all flows served losslessly) and scenarios
       whose critical-flow set did not change are pruned;
     - a Hamming-distance constraint (23) stabilizes the master;
@@ -27,14 +30,11 @@ type config = {
   prune : bool;
       (** prune perfect and unchanged scenarios (§4.2); disable only
           for ablation studies *)
-  warm_start : bool;
-      (** dual-simplex warm restarts across scenarios (§4.2); disable
-          only for ablation studies *)
   jobs : int;
       (** worker domains for the subproblem sweep (via
           {!Scenario_engine}); [0] = auto ([FLEXILE_JOBS] or one per
-          core).  Warm restarts stay shard-local; with the default cold
-          solves the result is bit-identical for every job count *)
+          core).  Subproblems are cold-solved, so the result is
+          bit-identical for every job count *)
   master : Flexile_lp.Mip.options;
 }
 
@@ -60,20 +60,20 @@ type result = {
 val solve : ?config:config -> Instance.t -> result
 
 val selfcheck_subproblems : ?jobs:int -> Instance.t -> (int * float * float) list
-(** Regression harness: solve every scenario's subproblem (all
-    connected flows critical) both via the warm dual-simplex path used
-    by {!solve} and via a cold solve; returns [(sid, warm, cold)] for
-    scenarios whose objectives disagree beyond tolerance.  Empty on a
-    healthy solver.  With [jobs > 1] the sweep runs domain-parallel,
-    each shard warm-restarting its own simplex — asserting that the
-    parallel path agrees with independent cold solves scenario by
-    scenario. *)
+(** Regression harness for the dual simplex ({!Flexile_lp.Simplex.resolve_rhs},
+    the warm restart {!Flexile_lp.Row_gen} depends on): solve every
+    scenario's subproblem (all connected flows critical) both by a
+    dual-simplex restart from the previous scenario's basis and by a
+    cold solve; returns [(sid, warm, cold)] for scenarios whose
+    objectives disagree beyond tolerance.  Empty on a healthy solver.
+    With [jobs > 1] the sweep runs domain-parallel, each shard
+    warm-restarting its own simplex state. *)
 
 val trace_summary : unit -> (string * float) list
 (** Derived observability metrics of the most recent run(s), read from
-    the {!Flexile_util.Trace} registry: warm-start attempts and hit
-    rate, cuts generated/shared, scenarios pruned, subproblems solved,
-    per-phase wall time.  All zero when tracing is disabled. *)
+    the {!Flexile_util.Trace} registry: cuts generated/shared,
+    scenarios pruned, subproblems solved, per-phase wall time.  All
+    zero when tracing is disabled. *)
 
 val trace_json : unit -> string
 (** [{"derived": {..}, "report": <Trace.to_json ()>}] — the structured

@@ -2,6 +2,10 @@ module Lp_model = Flexile_lp.Lp_model
 module Simplex = Flexile_lp.Simplex
 module Tbl = Flexile_util.Tbl
 
+let src = Logs.Src.create "flexile.lower_bound" ~doc:"PercLoss lower bound"
+
+module Log = (val Logs.src_log src : Logs.LOG)
+
 (* Maximum volume a single flow can push over a subset of its tunnels
    (each a fixed path) subject to edge capacities: a tiny LP per
    (flow, scenario). *)
@@ -31,14 +35,21 @@ let max_alone inst (f : Instance.flow) sid =
              coeffs))
       per_edge;
     (* cap at the demand so the LP stays bounded *)
+    let demand = Instance.demand_in inst f sid in
     ignore
-      (Lp_model.add_row model Lp_model.Le
-         (Instance.demand_in inst f sid)
+      (Lp_model.add_row model Lp_model.Le demand
          (Array.to_list (Array.map (fun v -> (v, 1.)) vars)));
     let sol = Simplex.solve model in
     match sol.Simplex.status with
     | Simplex.Optimal -> -.sol.Simplex.obj
-    | _ -> 0.
+    | _ ->
+        (* an unsolved LP proves nothing: the demand cap (isolated loss
+           0) is the only bound that stays sound *)
+        Log.warn (fun m ->
+            m "%s LP (flow %d, scenario %d) not solved to optimality; \
+               assuming the demand cap %g"
+              (Lp_model.name model) f.Instance.fid sid demand);
+        demand
   end
 
 let isolated_losses inst =

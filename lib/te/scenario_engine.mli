@@ -11,9 +11,10 @@
     on worker [sid mod jobs]).  A per-scenario function that does not
     depend on worker-local history — every cold solve in this
     repository — therefore produces bit-identical results for every
-    job count.  Stateful workers (shard-local dual-simplex warm
-    starts) see a deterministic scenario subsequence, so runs are
-    reproducible for a fixed job count.
+    job count.  Stateful workers (the shard-local dual-simplex restarts
+    of [Flexile_offline.selfcheck_subproblems]) see a deterministic
+    scenario subsequence, so runs are reproducible for a fixed job
+    count.
 
     [jobs] convention, everywhere in this repository: [0] (or an
     omitted argument) means "auto" — the [FLEXILE_JOBS] environment

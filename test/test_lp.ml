@@ -233,87 +233,6 @@ let test_row_gen () =
   (* the generated row is now a permanent part of the model *)
   Alcotest.(check int) "row added" 1 (Lp_model.nrows m)
 
-(* ---------------- presolve ---------------- *)
-
-let test_presolve_reductions () =
-  let m = Lp_model.create () in
-  let x = Lp_model.add_var m ~obj:(-1.) ~ub:10. () in
-  let y = Lp_model.add_var m ~lb:2. ~ub:2. ~obj:5. () in
-  (* fixed *)
-  let z = Lp_model.add_var m ~obj:(-2.) ~ub:10. () in
-  let _ = Lp_model.add_row m Lp_model.Le 9. [ (x, 1.); (y, 1.); (z, 1.) ] in
-  let _ = Lp_model.add_row m Lp_model.Le 4. [ (z, 1.) ] in
-  (* singleton *)
-  let _ = Lp_model.add_row m Lp_model.Le 100. [ (y, 3.) ] in
-  (* empty after fixing *)
-  (match Presolve.reduce m with
-  | Error `Infeasible -> Alcotest.fail "unexpected infeasibility"
-  | Ok r ->
-      Alcotest.(check int) "reduced vars" 2 (Lp_model.nvars (Presolve.model r));
-      Alcotest.(check int) "reduced rows" 1 (Lp_model.nrows (Presolve.model r)));
-  let sol = Presolve.solve m in
-  expect_optimal sol;
-  (* optimum: z = 4, x = 9 - 2 - 4 = 3; obj = -3 + 10 - 8 = -1 *)
-  check_float ~msg:"presolved objective" (-1.) sol.Simplex.obj;
-  check_float ~msg:"fixed var kept" 2. sol.Simplex.x.(y);
-  let plain = Simplex.solve m in
-  check_float ~msg:"matches plain solve" plain.Simplex.obj sol.Simplex.obj;
-  check_float ~msg:"dual bound at original rhs" sol.Simplex.obj
-    (Simplex.dual_bound sol
-       ~rhs:(Array.init (Lp_model.nrows m) (Lp_model.rhs m)))
-
-let test_presolve_detects_infeasible () =
-  let m = Lp_model.create () in
-  let x = Lp_model.add_var m ~lb:3. ~ub:3. () in
-  let _ = Lp_model.add_row m Lp_model.Le 1. [ (x, 1.) ] in
-  (match Presolve.reduce m with
-  | Error `Infeasible -> ()
-  | Ok _ -> Alcotest.fail "singleton infeasibility missed");
-  let sol = Presolve.solve m in
-  Alcotest.(check string) "status" "infeasible" (solve_status sol.Simplex.status)
-
-let qcheck_presolve_matches_plain =
-  let gen = QCheck.Gen.(pair (int_range 2 7) (int_range 1 7)) in
-  QCheck.Test.make ~name:"presolve matches plain solve" ~count:120
-    (QCheck.make gen) (fun (nv, nr) ->
-      let prng =
-        Flexile_util.Prng.of_string (Printf.sprintf "qc-pre-%d-%d" nv nr)
-      in
-      let m = Lp_model.create () in
-      let vars =
-        Array.init nv (fun j ->
-            (* a mix of fixed, bounded and free-ish variables *)
-            if j mod 3 = 0 then
-              let v = Flexile_util.Prng.uniform prng 0. 2. in
-              Lp_model.add_var m ~lb:v ~ub:v
-                ~obj:(Flexile_util.Prng.uniform prng (-1.) 1.)
-                ()
-            else
-              Lp_model.add_var m ~ub:4.
-                ~obj:(Flexile_util.Prng.uniform prng (-1.) 1.)
-                ())
-      in
-      for _ = 1 to nr do
-        let coeffs =
-          Array.to_list
-            (Array.map
-               (fun v -> (v, float_of_int (Flexile_util.Prng.int prng 5 - 2)))
-               vars)
-        in
-        let sense =
-          if Flexile_util.Prng.bool prng 0.6 then Lp_model.Le else Lp_model.Ge
-        in
-        ignore
-          (Lp_model.add_row m sense (Flexile_util.Prng.uniform prng (-1.) 6.)
-             coeffs)
-      done;
-      let a = Presolve.solve m and b = Simplex.solve m in
-      match (a.Simplex.status, b.Simplex.status) with
-      | Simplex.Optimal, Simplex.Optimal ->
-          feq ~eps:1e-5 a.Simplex.obj b.Simplex.obj
-          && Lp_model.max_violation m a.Simplex.x <= 1e-5
-      | sa, sb -> sa = sb)
-
 (* ---------------- MIP ---------------- *)
 
 let test_mip_knapsack () =
@@ -670,11 +589,6 @@ let () =
           quick "row extension (cutting planes)" test_extend_rows;
         ] );
       ( "row-generation", [ quick "lazy rows" test_row_gen ] );
-      ( "presolve",
-        [
-          quick "reductions" test_presolve_reductions;
-          quick "detects infeasibility" test_presolve_detects_infeasible;
-        ] );
       ( "mip",
         [
           quick "knapsack" test_mip_knapsack;
@@ -689,7 +603,6 @@ let () =
             qcheck_feasibility;
             qcheck_warm_rhs_sequences;
             qcheck_extend_rows;
-            qcheck_presolve_matches_plain;
             qcheck_mip_vs_enum;
           ] );
     ]

@@ -66,6 +66,25 @@ let test_fig1_prop1 () =
 let test_fig1_lower_bound () =
   check_float ~msg:"lower bound" 0. (Lower_bound.perc_loss_lower_bound fig1 ~cls:0)
 
+(* An isolated-flow LP that is not solved to optimality proves nothing
+   about the flow, so the bound must assume it is fully served (loss
+   0), never fully lost.  Negative capacities make every LP of
+   scenario 0 infeasible. *)
+let test_lower_bound_unsolved_is_sound () =
+  let inst = Flexile_core.Builder.fig1 () in
+  let cap_frac =
+    inst.Instance.scenarios.(0).Flexile_failure.Failure_model.cap_frac
+  in
+  Array.fill cap_frac 0 (Array.length cap_frac) (-1.);
+  let iso = Lower_bound.isolated_losses inst in
+  Array.iter
+    (fun (f : Instance.flow) ->
+      if Instance.demand_in inst f 0 > 0. then
+        check_float
+          ~msg:(Printf.sprintf "flow %d isolated loss" f.Instance.fid)
+          0. iso.(f.Instance.fid).(0))
+    inst.Instance.flows
+
 (* Fig 16: removing link B-C, ScenBest meets the objectives (each flow
    has only its direct link, so scenario-optimal routing serves it
    fully whenever it is alive). *)
@@ -384,6 +403,7 @@ let () =
           quick "ip achieves 0" test_fig1_ip;
           quick "starting point (prop 1)" test_fig1_prop1;
           quick "lower bound" test_fig1_lower_bound;
+          quick "lower bound on unsolved LP" test_lower_bound_unsolved_is_sound;
           quick "gamma=0 collapses to scenbest" test_fig1_gamma_variant;
           quick "scenario penalty bounded" test_fig1_scenloss_penalty;
         ] );

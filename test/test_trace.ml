@@ -132,18 +132,24 @@ let test_json_shape () =
   must "\"timers\"";
   must "\"events\"";
   let oj = Offline.trace_json () in
+  let contains s =
+    let n = String.length s in
+    let found = ref false in
+    for i = 0 to String.length oj - n do
+      if String.sub oj i n = s then found := true
+    done;
+    !found
+  in
   List.iter
-    (fun s ->
-      if
-        not
-          (let n = String.length s in
-           let found = ref false in
-           for i = 0 to String.length oj - n do
-             if String.sub oj i n = s then found := true
-           done;
-           !found)
-      then Alcotest.failf "offline trace lacks %s" s)
-    [ "\"derived\""; "\"warm_start_hit_rate\""; "\"report\"" ]
+    (fun s -> if not (contains s) then Alcotest.failf "offline trace lacks %s" s)
+    [ "\"derived\""; "\"subproblem_sweep_seconds\""; "\"report\"" ];
+  (* subproblems are always cold-solved: no derived key reports warm
+     restarts any more *)
+  List.iter
+    (fun (k, _) ->
+      if String.starts_with ~prefix:"warm" k then
+        Alcotest.failf "offline trace still reports %s" k)
+    (Offline.trace_summary ())
 
 (* ---- histograms ---- *)
 
