@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint lint-deep monitor-smoke explain-smoke doctor-smoke ablation-smoke verify baseline clean
+.PHONY: all build test bench lint lint-deep json-check monitor-smoke explain-smoke doctor-smoke ablation-smoke verify baseline clean
 
 all: build
 
@@ -38,6 +38,23 @@ lint-deep: | $(SMOKE_DIR)
 	dune exec --no-build tools/lint/lint_main.exe -- \
 	  --deep --strict-suppressions \
 	  --json $(SMOKE_DIR)/lint-summary.json lib bin bench test
+
+# Single-JSON-writer guard (DESIGN.md section 7): every artifact is a
+# Json.t value serialized by Json.to_string, so no module under lib/,
+# bin/ or bench/ may define its own escaper or number formatter
+# (json_escape, jnum, add_str, add_num) or carry a hand-written
+# \"key\": fragment in a string literal.  tools/lint (compiler-libs
+# only, with its own pretty-printed summary) and perfbench/ are out of
+# scope.
+JSON_WRITER_DEFS := let (rec )?(json_escape|jnum|add_str|add_num)\b
+JSON_KEY_FRAGMENT := \\"[A-Za-z0-9_.%]+\\" ?:
+json-check:
+	@if grep -rnE --include='*.ml' '$(JSON_WRITER_DEFS)' lib bin bench \
+	  || grep -rnE --include='*.ml' '$(JSON_KEY_FRAGMENT)' lib bin bench; then \
+	  echo "json-check: build a Json.t and serialize it with Json.to_string"; \
+	  exit 1; \
+	fi
+	@echo "json-check: ok"
 
 # SLO monitor smoke (DESIGN.md section 10): replay a short seeded
 # failure stream twice and assert the Prometheus page and the JSONL
@@ -122,7 +139,7 @@ BENCH_TOLERANCE ?= 50
 
 # Tier-1 verification: full build, both lint stages (syntactic
 # pre-build signal, then the deep typedtree stage over the fresh cmts),
-# the test suite, the monitor/explain/doctor determinism smokes, the
+# the single-JSON-writer guard, the test suite, the monitor/explain/doctor determinism smokes, the
 # offline-ablation smoke, a
 # smoke run of the micro-benchmarks (exercises the parallel sweep at
 # jobs 1 and 4), and the regression gate against the committed
@@ -131,6 +148,7 @@ verify:
 	$(MAKE) lint
 	dune build
 	$(MAKE) lint-deep
+	$(MAKE) json-check
 	dune runtest
 	$(MAKE) monitor-smoke
 	$(MAKE) explain-smoke

@@ -19,6 +19,7 @@ module Parallel = Flexile_util.Parallel
 module Trace = Flexile_util.Trace
 module Trace_export = Flexile_util.Trace_export
 module Bench_gate = Flexile_util.Bench_gate
+module Json = Flexile_util.Json
 
 (* Bechamel kernels; returns [(name, ms_per_run)] for the JSON dump. *)
 let micro_benchmarks ~jobs () =
@@ -181,13 +182,19 @@ let sparse_core_json ~seconds ~factor_seconds ~iterations ~eta_updates
         q
     with Not_found -> 0.
   in
-  Printf.sprintf
-    "{\"solve_seconds\":%.6f,\"factor_seconds\":%.6f,\"iterations\":%d,\
-     \"pivots_per_sec\":%.1f,\"eta_updates\":%d,\"refactorizations\":%d,\
-     \"eta_len_at_refactor_p50\":%.1f,\"eta_len_at_refactor_p95\":%.1f}"
-    seconds factor_seconds iterations
-    (if seconds > 0. then float_of_int iterations /. seconds else 0.)
-    eta_updates refactorizations (eta_q 0.5) (eta_q 0.95)
+  Json.Object
+    [
+      ("solve_seconds", Json.Number seconds);
+      ("factor_seconds", Json.Number factor_seconds);
+      ("iterations", Json.Int iterations);
+      ( "pivots_per_sec",
+        Json.Number
+          (if seconds > 0. then float_of_int iterations /. seconds else 0.) );
+      ("eta_updates", Json.Int eta_updates);
+      ("refactorizations", Json.Int refactorizations);
+      ("eta_len_at_refactor_p50", Json.Number (eta_q 0.5));
+      ("eta_len_at_refactor_p95", Json.Number (eta_q 0.95));
+    ]
 
 let simplex_gate_model () =
   let model = Flexile_lp.Lp_model.create () in
@@ -208,7 +215,7 @@ let simplex_gate_model () =
 
 let run_gate ~jobs ~repeat =
   let samples : (string, float list ref) Hashtbl.t = Hashtbl.create 16 in
-  let sparse_core = ref "{}" in
+  let sparse_core = ref (Json.Object []) in
   let record name s =
     let l =
       match Hashtbl.find_opt samples name with
@@ -279,7 +286,7 @@ let run_gate ~jobs ~repeat =
              Flexile_obs.Attribution.analyze ~top:5 inp
                ~losses:(Flexile_obs.Attribution.online_losses inp)
            in
-           ignore (Flexile_obs.Attribution.report_json rep)));
+           ignore (Json.to_string (Flexile_obs.Attribution.report_json rep))));
     ignore (timed "scenbest-sweep" (fun () -> Flexile_te.Scenbest.run ~jobs inst));
     ignore (timed "swan-maxmin" (fun () -> Flexile_te.Swan.run_maxmin ~jobs inst));
     (* mixed-regime end-to-end: SRLG + partial degradation + demand
@@ -344,46 +351,29 @@ let run_gate ~jobs ~repeat =
 
 (* ---- machine-readable dump (--json FILE) ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path ~profile_name ~jobs ~figures ~micro =
-  let oc = open_out path in
-  let item fmt = Printf.ksprintf (fun s -> output_string oc s) fmt in
-  let entries f xs =
-    List.iteri (fun i x -> if i > 0 then item ","; f x) xs
+  let timings key rows =
+    Json.Array
+      (List.map
+         (fun (name, v) ->
+           Json.Object [ ("name", Json.String name); (key, Json.Number v) ])
+         rows)
   in
-  item "{\"profile\":\"%s\",\"jobs\":%d,\"figures\":[" (json_escape profile_name)
-    jobs;
-  entries
-    (fun (name, seconds) ->
-      item "{\"name\":\"%s\",\"seconds\":%.6f}" (json_escape name) seconds)
-    figures;
-  item "],\"micro\":[";
-  entries
-    (fun (name, ms) ->
-      item "{\"name\":\"%s\",\"ms_per_run\":%.6f}" (json_escape name) ms)
-    micro;
-  (* the trace section is the full registry — every module's counters,
-     gauges, timers and span totals, plus the hierarchical span tree —
-     not just the offline solver's derived summary; histograms adds
-     the per-name quantile summaries with raw bucket lists (schema v2,
-     see Bench_gate) *)
-  item "],\"trace\":%s,\"histograms\":%s}\n"
-    (Flexile_te.Flexile_offline.trace_json ())
-    (Flexile_obs.Metrics_export.histograms_json ());
-  close_out oc;
+  Json.write_file path
+    (Json.Object
+       [
+         ("profile", Json.String profile_name);
+         ("jobs", Json.Int jobs);
+         ("figures", timings "seconds" figures);
+         ("micro", timings "ms_per_run" micro);
+         (* the trace section is the full registry — every module's
+            counters, gauges, timers and span totals, plus the
+            hierarchical span tree — not just the offline solver's
+            derived summary; histograms adds the per-name quantile
+            summaries with raw bucket lists (schema v2, see Bench_gate) *)
+         ("trace", Flexile_te.Flexile_offline.trace_json ());
+         ("histograms", Flexile_obs.Metrics_export.histograms_json ());
+       ]);
   Printf.printf "\nwrote timings to %s\n" path
 
 let () =
@@ -444,7 +434,8 @@ let () =
     | Some v -> ( match int_of_string_opt v with Some i -> i | None -> current)
     | None -> current
   in
-  let jobs = if !jobs <> 0 then !jobs else getenv_int "FLEXILE_JOBS" 0 in
+  (* 0 = auto: Parallel resolves it, FLEXILE_JOBS included *)
+  let jobs = !jobs in
   let profile =
     {
       profile with
@@ -486,8 +477,7 @@ let () =
       Printf.printf "wrote baseline to %s\n" !baseline_out
     end;
     if !json <> "" then begin
-      let oc = open_out !json in
-      output_string oc
+      Json.write_file !json
         (Bench_gate.to_json
            ~extra:
              [
@@ -497,11 +487,10 @@ let () =
                ("solver_health", Trace_export.solver_health_json ());
              ]
            measured);
-      close_out oc;
       Printf.printf "wrote gate measurements to %s\n" !json
     end;
     if !chrome <> "" then begin
-      Trace_export.write_file !chrome (Trace_export.chrome_json ());
+      Json.write_file !chrome (Trace_export.chrome_json ());
       Printf.printf "wrote Chrome trace to %s\n" !chrome
     end;
     if !check_file <> "" then begin
@@ -562,9 +551,10 @@ let () =
     if !fig = "all" then run_micro ()
   end;
   if !json <> "" then
-    write_json !json ~profile_name ~jobs ~figures:(List.rev !fig_timings)
+    write_json !json ~profile_name ~jobs:effective_jobs
+      ~figures:(List.rev !fig_timings)
       ~micro:!micro_rows;
   if !chrome <> "" then begin
-    Trace_export.write_file !chrome (Trace_export.chrome_json ());
+    Json.write_file !chrome (Trace_export.chrome_json ());
     Printf.printf "wrote Chrome trace to %s\n" !chrome
   end

@@ -6,6 +6,7 @@ open Cmdliner
 module Instance = Flexile_te.Instance
 module Metrics = Flexile_te.Metrics
 module Trace = Flexile_util.Trace
+module Json = Flexile_util.Json
 
 (* --trace OUT.json: enable the observability layer for this run and
    dump the merged report when the command finishes *)
@@ -36,16 +37,21 @@ let with_trace out chrome f =
   f ();
   Option.iter
     (fun path ->
-      Flexile_util.Trace_export.write_file path
-        (Flexile_te.Flexile_offline.trace_json ());
+      Json.write_file path (Flexile_te.Flexile_offline.trace_json ());
       Printf.printf "wrote trace to %s\n" path)
     out;
   Option.iter
     (fun path ->
-      Flexile_util.Trace_export.write_file path
-        (Flexile_util.Trace_export.chrome_json ());
+      Json.write_file path (Flexile_util.Trace_export.chrome_json ());
       Printf.printf "wrote Chrome trace to %s (load in Perfetto)\n" path)
     chrome
+
+(* writes [contents] to [path] and says so on stdout *)
+let write_artifact what path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Printf.printf "wrote %s to %s\n" what path
 
 let verbose_term =
   let doc = "Enable informational logging." in
@@ -458,18 +464,25 @@ let monitor_cmd =
       if i mod snapshot_every = 0 || i = draws then begin
         let attr_field =
           match attribution with
-          | None -> ""
+          | None -> []
           | Some inp ->
               let rep =
                 Flexile_obs.Attribution.analyze inp
                   ~losses:(Flexile_obs.Slo.observed_losses slo)
               in
-              Printf.sprintf "\"attribution\":%s,"
-                (Flexile_obs.Attribution.snapshot_json rep)
+              [ ("attribution", Flexile_obs.Attribution.snapshot_json rep) ]
         in
-        Printf.bprintf jsonl_buf "{\"draw\":%d,\"slo\":%s,%s\"metrics\":%s}\n" i
-          (Flexile_obs.Slo.report_json slo) attr_field
-          (Flexile_obs.Metrics_export.snapshot_json ~deterministic:true ())
+        Buffer.add_string jsonl_buf
+          (Json.to_string
+             (Json.Object
+                ([ ("draw", Json.Int i); ("slo", Flexile_obs.Slo.report_json slo) ]
+                @ attr_field
+                @ [
+                    ( "metrics",
+                      Flexile_obs.Metrics_export.snapshot_json
+                        ~deterministic:true () );
+                  ])));
+        Buffer.add_char jsonl_buf '\n'
       end
     done;
     Option.iter
@@ -481,26 +494,17 @@ let monitor_cmd =
               Flexile_obs.Attribution.analyze inp
                 ~losses:(Flexile_obs.Slo.observed_losses slo)
             in
-            let oc = open_out path in
-            output_string oc (Flexile_obs.Attribution.report_json rep);
-            output_char oc '\n';
-            close_out oc;
-            Printf.printf "wrote attribution report to %s\n" path)
+            write_artifact "attribution report" path
+              (Json.to_string (Flexile_obs.Attribution.report_json rep) ^ "\n"))
       explain;
     Option.iter
       (fun path ->
-        let oc = open_out path in
-        Buffer.output_buffer oc jsonl_buf;
-        close_out oc;
-        Printf.printf "wrote snapshots to %s\n" path)
+        write_artifact "snapshots" path (Buffer.contents jsonl_buf))
       jsonl;
     Option.iter
       (fun path ->
-        let oc = open_out path in
-        output_string oc
-          (Flexile_obs.Metrics_export.prometheus ~deterministic:true ());
-        close_out oc;
-        Printf.printf "wrote Prometheus metrics to %s\n" path)
+        write_artifact "Prometheus metrics" path
+          (Flexile_obs.Metrics_export.prometheus ~deterministic:true ()))
       prom;
     Printf.printf
       "monitor: %d draws (%d outside the enumerated set), %d/%d scenarios seen\n"
@@ -658,25 +662,21 @@ let explain_cmd =
           (100. *. a.aregret_expected)
           (100. *. a.aregret_max))
       rep.classes;
-    let write path contents what =
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
-      Printf.printf "wrote %s to %s\n" what path
-    in
     Option.iter
-      (fun path -> write path (report_json rep ^ "\n") "attribution report")
+      (fun path ->
+        write_artifact "attribution report" path
+          (Json.to_string (report_json rep) ^ "\n"))
       out;
     Option.iter
       (fun path ->
-        write path
+        write_artifact "Prometheus metrics" path
           (Flexile_obs.Metrics_export.prometheus ~deterministic:true ()
-          ^ prometheus_families rep)
-          "Prometheus metrics")
+          ^ prometheus_families rep))
       prom;
     Option.iter
       (fun path ->
-        write path (regimes_json rep ^ "\n") "regime-conditioned attainment")
+        write_artifact "regime-conditioned attainment" path
+          (Json.to_string (regimes_json rep) ^ "\n"))
       regimes
   in
   let term =
@@ -750,22 +750,16 @@ let doctor_cmd =
   let run () topo fixture dump two scenarios mix max_pairs iterations jobs out
       chrome no_oracle =
     let oracle = not no_oracle in
-    let deliver what contents =
+    let deliver what report =
+      let text = Json.to_string report ^ "\n" in
       match out with
-      | None -> print_string contents
-      | Some path ->
-          Flexile_util.Trace_export.write_file path
-            (* write_file appends the newline *)
-            (String.sub contents 0
-               (let n = String.length contents in
-                if n > 0 && contents.[n - 1] = '\n' then n - 1 else n));
-          Printf.printf "wrote %s to %s\n" what path
+      | None -> print_string text
+      | Some path -> write_artifact what path text
     in
     let write_chrome () =
       Option.iter
         (fun path ->
-          Flexile_util.Trace_export.write_file path
-            (Flexile_util.Trace_export.chrome_json ());
+          Json.write_file path (Flexile_util.Trace_export.chrome_json ());
           Printf.printf "wrote Chrome trace to %s (load in Perfetto)\n" path)
         chrome
     in
@@ -817,15 +811,17 @@ let doctor_cmd =
           (get "health.stalls")
           (get "health.dual_guard_trips")
           (get "health.dumps");
-        let b = Buffer.create 512 in
-        Printf.bprintf b
-          "{\"schema\":\"flexile-doctor\",\"version\":1,\"source\":{\"kind\":\"topology\",\"name\":\"%s\"},\"solver_health\":%s}\n"
-          (String.concat ""
-             (List.map
-                (fun c -> if c = '"' || c = '\\' then "_" else String.make 1 c)
-                (List.init (String.length name) (String.get name))))
-          (Flexile_util.Trace_export.solver_health_json ());
-        deliver "solver health" (Buffer.contents b);
+        deliver "solver health"
+          (Json.Object
+             [
+               ("schema", Json.String "flexile-doctor");
+               ("version", Json.Int 1);
+               ( "source",
+                 Json.Object
+                   [ ("kind", Json.String "topology"); ("name", Json.String name) ]
+               );
+               ("solver_health", Flexile_util.Trace_export.solver_health_json ());
+             ]);
         write_chrome ()
     | _ ->
         prerr_endline

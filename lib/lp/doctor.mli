@@ -39,7 +39,7 @@ type source =
   | Src_model
 
 type result = {
-  r_report : string;  (** the diagnosis document (JSON, trailing newline) *)
+  r_report : Flexile_util.Json.t;  (** the diagnosis document *)
   r_solution : Simplex.solution;
   r_health : Health.state;  (** captured timeline of the replay *)
   r_healthy : bool;  (** no stalls, trips or near-singular rows *)

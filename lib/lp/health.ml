@@ -427,25 +427,7 @@ let hex_of_float x =
 
 let float_of_hex s = float_of_string_opt s
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let add_str b s =
-  Buffer.add_char b '"';
-  json_escape b s;
-  Buffer.add_char b '"'
-
-let add_hex b x = add_str b (hex_of_float x)
+let hex x = Json.String (hex_of_float x)
 
 let sense_to_string = function
   | Lp_model.Le -> "le"
@@ -458,103 +440,94 @@ let sense_of_string = function
   | "eq" -> Some Lp_model.Eq
   | _ -> None
 
-let model_to_buf b model =
-  Buffer.add_string b "{\"name\":";
-  add_str b (Lp_model.name model);
-  Buffer.add_string b ",\"vars\":[";
-  for j = 0 to Lp_model.nvars model - 1 do
-    if j > 0 then Buffer.add_char b ',';
-    Buffer.add_string b "{\"name\":";
-    add_str b (Lp_model.var_name model j);
-    Buffer.add_string b ",\"lb\":";
-    add_hex b (Lp_model.lb model j);
-    Buffer.add_string b ",\"ub\":";
-    add_hex b (Lp_model.ub model j);
-    Buffer.add_string b ",\"obj\":";
-    add_hex b (Lp_model.obj_coef model j);
-    Buffer.add_char b '}'
-  done;
-  Buffer.add_string b "],\"rows\":[";
-  for i = 0 to Lp_model.nrows model - 1 do
-    if i > 0 then Buffer.add_char b ',';
-    Buffer.add_string b "{\"name\":";
-    add_str b (Lp_model.row_name model i);
-    Buffer.add_string b ",\"sense\":";
-    add_str b (sense_to_string (Lp_model.row_sense model i));
-    Buffer.add_string b ",\"rhs\":";
-    add_hex b (Lp_model.rhs model i);
-    Buffer.add_string b ",\"coeffs\":[";
-    List.iteri
-      (fun k (j, v) ->
-        if k > 0 then Buffer.add_char b ',';
-        Buffer.add_string b "[";
-        Buffer.add_string b (string_of_int j);
-        Buffer.add_char b ',';
-        add_hex b v;
-        Buffer.add_char b ']')
-      (Lp_model.row_coeffs model i);
-    Buffer.add_string b "]}"
-  done;
-  Buffer.add_string b "]}"
+let model_json model =
+  Json.Object
+    [
+      ("name", Json.String (Lp_model.name model));
+      ( "vars",
+        Json.Array
+          (List.init (Lp_model.nvars model) (fun j ->
+               Json.Object
+                 [
+                   ("name", Json.String (Lp_model.var_name model j));
+                   ("lb", hex (Lp_model.lb model j));
+                   ("ub", hex (Lp_model.ub model j));
+                   ("obj", hex (Lp_model.obj_coef model j));
+                 ])) );
+      ( "rows",
+        Json.Array
+          (List.init (Lp_model.nrows model) (fun i ->
+               Json.Object
+                 [
+                   ("name", Json.String (Lp_model.row_name model i));
+                   ( "sense",
+                     Json.String (sense_to_string (Lp_model.row_sense model i))
+                   );
+                   ("rhs", hex (Lp_model.rhs model i));
+                   ( "coeffs",
+                     Json.Array
+                       (List.map
+                          (fun (j, v) -> Json.Array [ Json.Int j; hex v ])
+                          (Lp_model.row_coeffs model i)) );
+                 ])) );
+    ]
 
-let model_to_json_string model =
-  let b = Buffer.create 1024 in
-  model_to_buf b model;
-  Buffer.contents b
+let ( let* ) = Option.bind
 
-let ( let* ) o f = match o with Some v -> f v | None -> None
+(* reader combinators: a converted member, and a converted array that
+   fails as a whole when any element does *)
+let field key conv j = let* v = Json.member key j in conv v
 
-let json_hex j = let* s = Json.to_string j in float_of_hex s
+let all conv j =
+  let* l = Json.to_list j in
+  List.fold_right
+    (fun x acc ->
+      let* acc = acc in
+      let* v = conv x in
+      Some (v :: acc))
+    l (Some [])
+
+let json_hex j = let* s = Json.to_str j in float_of_hex s
 
 let model_of_json j =
   let fail msg = Error ("health dump: bad model: " ^ msg) in
+  let var v =
+    let* name = field "name" Json.to_str v in
+    let* lb = field "lb" json_hex v in
+    let* ub = field "ub" json_hex v in
+    let* obj = field "obj" json_hex v in
+    Some (name, lb, ub, obj)
+  in
+  let coeff c =
+    match Json.to_list c with
+    | Some [ jv; xv ] ->
+        let* j = Json.to_int jv in
+        let* x = json_hex xv in
+        Some (j, x)
+    | _ -> None
+  in
+  let row r =
+    let* name = field "name" Json.to_str r in
+    let* sense = field "sense" (fun s -> Option.bind (Json.to_str s) sense_of_string) r in
+    let* rhs = field "rhs" json_hex r in
+    let* coeffs = field "coeffs" (all coeff) r in
+    Some (name, sense, rhs, coeffs)
+  in
   match
-    let* name = let* n = Json.member "name" j in Json.to_string n in
-    let* vars = let* v = Json.member "vars" j in Json.to_list v in
-    let* rows = let* r = Json.member "rows" j in Json.to_list r in
+    let* name = field "name" Json.to_str j in
+    let* vars = field "vars" (all var) j in
+    let* rows = field "rows" (all row) j in
     let model = Lp_model.create ~name () in
-    let* () =
-      List.fold_left
-        (fun acc v ->
-          let* () = acc in
-          let* name = let* n = Json.member "name" v in Json.to_string n in
-          let* lb = let* x = Json.member "lb" v in json_hex x in
-          let* ub = let* x = Json.member "ub" v in json_hex x in
-          let* obj = let* x = Json.member "obj" v in json_hex x in
-          let (_ : int) = Lp_model.add_var model ~name ~lb ~ub ~obj () in
-          Some ())
-        (Some ()) vars
-    in
-    let* () =
-      List.fold_left
-        (fun acc r ->
-          let* () = acc in
-          let* name = let* n = Json.member "name" r in Json.to_string n in
-          let* sense =
-            let* s = Json.member "sense" r in
-            let* s = Json.to_string s in
-            sense_of_string s
-          in
-          let* rhs = let* x = Json.member "rhs" r in json_hex x in
-          let* coeffs = let* c = Json.member "coeffs" r in Json.to_list c in
-          let* coeffs =
-            List.fold_left
-              (fun acc c ->
-                let* acc = acc in
-                match Json.to_list c with
-                | Some [ jv; xv ] ->
-                    let* j = Json.to_int jv in
-                    let* x = json_hex xv in
-                    Some ((j, x) :: acc)
-                | _ -> None)
-              (Some []) coeffs
-          in
-          let (_ : int) =
-            Lp_model.add_row model ~name sense rhs (List.rev coeffs)
-          in
-          Some ())
-        (Some ()) rows
-    in
+    List.iter
+      (fun (name, lb, ub, obj) ->
+        let (_ : int) = Lp_model.add_var model ~name ~lb ~ub ~obj () in
+        ())
+      vars;
+    List.iter
+      (fun (name, sense, rhs, coeffs) ->
+        let (_ : int) = Lp_model.add_row model ~name sense rhs coeffs in
+        ())
+      rows;
     Some model
   with
   | Some model -> Ok model
@@ -593,38 +566,21 @@ type dump = {
   d_vstat : int array;
 }
 
-let dump_to_string d =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":";
-  add_str b dump_schema;
-  Buffer.add_string b (",\"version\":" ^ string_of_int dump_version);
-  Buffer.add_string b ",\"reasons\":[";
-  List.iteri
-    (fun k r ->
-      if k > 0 then Buffer.add_char b ',';
-      add_str b r)
-    d.d_reasons;
-  Buffer.add_string b ("],\"phase\":" ^ string_of_int d.d_phase);
-  Buffer.add_string b (",\"iteration\":" ^ string_of_int d.d_iteration);
-  Buffer.add_string b ",\"eta_limit\":";
-  (match d.d_eta_limit with
-  | None -> Buffer.add_string b "null"
-  | Some l -> Buffer.add_string b (string_of_int l));
-  Buffer.add_string b ",\"model\":";
-  model_to_buf b d.d_model;
-  let ints name a =
-    Buffer.add_string b (",\"" ^ name ^ "\":[");
-    Array.iteri
-      (fun k v ->
-        if k > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (string_of_int v))
-      a;
-    Buffer.add_char b ']'
-  in
-  ints "basis" d.d_basis;
-  ints "vstat" d.d_vstat;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+let dump_json d =
+  let ints a = Json.Array (Array.to_list (Array.map (fun v -> Json.Int v) a)) in
+  Json.Object
+    [
+      ("schema", Json.String dump_schema);
+      ("version", Json.Int dump_version);
+      ("reasons", Json.Array (List.map (fun r -> Json.String r) d.d_reasons));
+      ("phase", Json.Int d.d_phase);
+      ("iteration", Json.Int d.d_iteration);
+      ( "eta_limit",
+        match d.d_eta_limit with None -> Json.Null | Some l -> Json.Int l );
+      ("model", model_json d.d_model);
+      ("basis", ints d.d_basis);
+      ("vstat", ints d.d_vstat);
+    ]
 
 (* Writes (or deterministically overwrites) the snapshot for [d]'s
    model in the FLEXILE_HEALTH_DUMP directory.  No-op returning [None]
@@ -637,9 +593,7 @@ let write_dump d =
       (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
        with Sys_error _ -> ());
       let path = dump_path ~dir ~model:d.d_model in
-      let oc = open_out path in
-      output_string oc (dump_to_string d);
-      close_out oc;
+      Json.write_file path (dump_json d);
       Trace.incr c_dumps;
       Some path
 
@@ -648,69 +602,29 @@ let read_dump path =
   | Error e -> Error ("health dump: " ^ e)
   | Ok j -> (
       match
-        let* schema =
-          let* s = Json.member "schema" j in
-          Json.to_string s
-        in
-        if schema <> dump_schema then None
+        let* schema = field "schema" Json.to_str j in
+        let* version = field "version" Json.to_int j in
+        if schema <> dump_schema || version > dump_version then None
         else
-          let* version =
-            let* v = Json.member "version" j in
-            Json.to_int v
+          let* reasons = field "reasons" (all Json.to_str) j in
+          let* phase = field "phase" Json.to_int j in
+          let* iteration = field "iteration" Json.to_int j in
+          let* model =
+            field "model" (fun m -> Result.to_option (model_of_json m)) j
           in
-          if version > dump_version then None
-          else
-            let* reasons =
-              let* r = Json.member "reasons" j in
-              let* l = Json.to_list r in
-              List.fold_left
-                (fun acc r ->
-                  let* acc = acc in
-                  let* s = Json.to_string r in
-                  Some (s :: acc))
-                (Some []) l
-            in
-            let* phase = let* p = Json.member "phase" j in Json.to_int p in
-            let* iteration =
-              let* i = Json.member "iteration" j in
-              Json.to_int i
-            in
-            let eta_limit =
-              match Json.member "eta_limit" j with
-              | Some (Json.Number _ as n) -> Json.to_int n
-              | _ -> None
-            in
-            let* model_j = Json.member "model" j in
-            let* model =
-              match model_of_json model_j with
-              | Ok m -> Some m
-              | Error _ -> None
-            in
-            let ints name =
-              let* a = Json.member name j in
-              let* l = Json.to_list a in
-              let* l =
-                List.fold_left
-                  (fun acc v ->
-                    let* acc = acc in
-                    let* i = Json.to_int v in
-                    Some (i :: acc))
-                  (Some []) l
-              in
-              Some (Array.of_list (List.rev l))
-            in
-            let* basis = ints "basis" in
-            let* vstat = ints "vstat" in
-            Some
-              {
-                d_reasons = List.rev reasons;
-                d_phase = phase;
-                d_iteration = iteration;
-                d_eta_limit = eta_limit;
-                d_model = model;
-                d_basis = basis;
-                d_vstat = vstat;
-              }
+          let ints key = Option.map Array.of_list (field key (all Json.to_int) j) in
+          let* basis = ints "basis" in
+          let* vstat = ints "vstat" in
+          Some
+            {
+              d_reasons = reasons;
+              d_phase = phase;
+              d_iteration = iteration;
+              d_eta_limit = field "eta_limit" Json.to_int j;
+              d_model = model;
+              d_basis = basis;
+              d_vstat = vstat;
+            }
       with
       | Some d -> Ok d
       | None -> Error "health dump: missing field or schema mismatch"

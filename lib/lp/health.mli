@@ -172,10 +172,11 @@ val write_dump : dump -> string option
 
 val read_dump : string -> (dump, string) result
 
-val dump_to_string : dump -> string
-(** The serialized form [write_dump] writes, for tests. *)
+val dump_json : dump -> Flexile_util.Json.t
+(** The document [write_dump] writes: floats as {!hex_of_float}
+    strings, so a replay sees the exact bits. *)
 
-val model_to_json_string : Lp_model.t -> string
+val model_json : Lp_model.t -> Flexile_util.Json.t
 
 val hex_of_float : float -> string
 (** ["%h"] hexadecimal literal; ["inf"]/["-inf"]/["nan"] for the

@@ -23,6 +23,7 @@
    mirror the paper's conservative treatment of unenumerated mass. *)
 
 module Trace = Flexile_util.Trace
+module Json = Flexile_util.Json
 module Instance = Flexile_te.Instance
 module Metrics = Flexile_te.Metrics
 
@@ -162,36 +163,30 @@ let unenumerated_draws t = t.unenumerated
 let scenarios_seen t =
   Array.fold_left (fun a s -> if s then a + 1 else a) 0 t.seen
 
-let jnum v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_json t =
-  let b = Buffer.create 512 in
-  Printf.bprintf b
-    "{\"draws\":%d,\"unenumerated\":%d,\"scenarios_seen\":%d,\"scenarios\":%d,\"classes\":["
-    t.total_draws t.unenumerated (scenarios_seen t)
-    (Instance.nscenarios t.inst);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"cls\":%d,\"name\":\"%s\",\"beta\":%s,\"promised\":%s,\"observed\":%s,\"attained\":%b,\"bad_draws\":%d,\"window_bad\":%d,\"window_len\":%d,\"burn_rate\":%s}"
-        r.rcls (json_escape r.rname) (jnum r.rbeta) (jnum r.rpromised)
-        (jnum r.robserved) r.rattained r.rbad_draws r.rwindow_bad
-        r.rwindow_len (jnum r.rburn_rate))
-    (report t);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let num v = Json.Number v and int i = Json.Int i in
+  Json.Object
+    [
+      ("draws", int t.total_draws);
+      ("unenumerated", int t.unenumerated);
+      ("scenarios_seen", int (scenarios_seen t));
+      ("scenarios", int (Instance.nscenarios t.inst));
+      ( "classes",
+        Json.Array
+          (List.map
+             (fun r ->
+               Json.Object
+                 [
+                   ("cls", int r.rcls);
+                   ("name", Json.String r.rname);
+                   ("beta", num r.rbeta);
+                   ("promised", num r.rpromised);
+                   ("observed", num r.robserved);
+                   ("attained", Json.Bool r.rattained);
+                   ("bad_draws", int r.rbad_draws);
+                   ("window_bad", int r.rwindow_bad);
+                   ("window_len", int r.rwindow_len);
+                   ("burn_rate", num r.rburn_rate);
+                 ])
+             (report t)) );
+    ]

@@ -87,8 +87,8 @@ val draws : t -> int
 val unenumerated_draws : t -> int
 val scenarios_seen : t -> int
 
-val report_json : t -> string
-(** One-line JSON:
+val report_json : t -> Flexile_util.Json.t
+(** The report as JSON:
     [{"draws":..,"unenumerated":..,"scenarios_seen":..,"scenarios":..,
       "classes":[{"cls":..,"name":..,"beta":..,"promised":..,
       "observed":..,"attained":..,"bad_draws":..,"window_bad":..,

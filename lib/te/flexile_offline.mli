@@ -75,7 +75,7 @@ val trace_summary : unit -> (string * float) list
     scenarios pruned, subproblems solved, per-phase wall time.  All
     zero when tracing is disabled. *)
 
-val trace_json : unit -> string
+val trace_json : unit -> Flexile_util.Json.t
 (** [{"derived": {..}, "report": <Trace.to_json ()>}] — the structured
     trace section embedded by [bench --json] and written by
     [flexile --trace OUT.json]. *)

@@ -37,38 +37,29 @@ let median samples =
 
 (* ---- serialization ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?(extra = []) b =
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf
-    "{\n  \"schema\": \"%s\",\n  \"version\": %d,\n  \"profile\": \"%s\",\n  \"jobs\": %d,\n  \"repetitions\": %d,\n  \"phases\": [\n"
-    schema version (json_escape b.profile) b.jobs b.repetitions;
-  List.iteri
-    (fun i p ->
-      Printf.bprintf buf "    {\"name\": \"%s\", \"median_seconds\": %.6f}%s\n"
-        (json_escape p.pname) p.median_seconds
-        (if i < List.length b.phases - 1 then "," else ""))
-    b.phases;
-  Buffer.add_string buf "  ]";
-  List.iter (fun (k, v) -> Printf.bprintf buf ",\n  \"%s\": %s" k v) extra;
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  Json.Object
+    ([
+       ("schema", Json.String schema);
+       ("version", Json.Int version);
+       ("profile", Json.String b.profile);
+       ("jobs", Json.Int b.jobs);
+       ("repetitions", Json.Int b.repetitions);
+       ( "phases",
+         Json.Array
+           (List.map
+              (fun p ->
+                Json.Object
+                  [
+                    ("name", Json.String p.pname);
+                    ("median_seconds", Json.Number p.median_seconds);
+                  ])
+              b.phases) );
+     ]
+    @ extra)
 
 let of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_string in
+  let str k = Option.bind (Json.member k j) Json.to_str in
   let int k = Option.bind (Json.member k j) Json.to_int in
   match (str "schema", int "version") with
   | Some s, _ when s <> schema -> Error (Printf.sprintf "unknown schema %S" s)
@@ -81,7 +72,7 @@ let of_json j =
       | Some items -> (
           let parse_phase it =
             match
-              ( Option.bind (Json.member "name" it) Json.to_string,
+              ( Option.bind (Json.member "name" it) Json.to_str,
                 Option.bind (Json.member "median_seconds" it) Json.to_float )
             with
             | Some n, Some m -> Some { pname = n; median_seconds = m }
@@ -104,10 +95,7 @@ let load path =
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
   | Ok j -> of_json j
 
-let save path b =
-  let oc = open_out path in
-  output_string oc (to_json b);
-  close_out oc
+let save path b = Json.write_file path (to_json b)
 
 (* ---- the gate ---- *)
 

@@ -26,10 +26,9 @@ val median : float list -> float
 (** Median of the samples ([0.] for an empty list; mean of the middle
     pair for even counts). *)
 
-val to_json : ?extra:(string * string) list -> baseline -> string
-(** Pretty-printed baseline document.  [extra] appends raw
-    [key: json-value] pairs (e.g. an embedded trace report); readers
-    ignore unknown keys. *)
+val to_json : ?extra:(string * Json.t) list -> baseline -> Json.t
+(** The baseline document.  [extra] appends further top-level members
+    (e.g. an embedded trace report); readers ignore unknown keys. *)
 
 val of_json : Json.t -> (baseline, string) result
 val load : string -> (baseline, string) result

@@ -1,15 +1,79 @@
-(* Minimal JSON: just enough to parse back the documents this
-   repository itself emits (trace reports, Chrome traces, bench
-   baselines) without adding a dependency.  Numbers are floats, objects
-   keep their textual field order. *)
+(* Minimal JSON without a dependency: the one writer every artifact in
+   the repository goes through, and a strict reader for the documents
+   read back (bench baselines, health dumps, the emitters' own output in
+   tests).  Integer literals that fit an [int] parse as [Int], every
+   other number as [Number]; objects keep their textual field order. *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Number of float
   | String of string
   | Array of t list
   | Object of (string * t) list
+
+(* ------------------------------------------------------------------ *)
+(* Writer                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let add_quoted b s =
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+(* Compact, no whitespace.  A finite [Number] prints with 9 significant
+   digits (so integral floats print without a fraction: "1"), a
+   non-finite one, which JSON cannot represent, as null. *)
+let rec add_value b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Number f ->
+      if Float.is_finite f then Printf.bprintf b "%.9g" f
+      else Buffer.add_string b "null"
+  | String s -> add_quoted b s
+  | Array items ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b ',';
+          add_value b v)
+        items;
+      Buffer.add_char b ']'
+  | Object fields ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          add_quoted b k;
+          Buffer.add_char b ':';
+          add_value b v)
+        fields;
+      Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 1024 in
+  add_value b v;
+  Buffer.contents b
+
+let write_file path v =
+  let oc = open_out path in
+  output_string oc (to_string v);
+  output_char oc '\n';
+  close_out oc
+
+(* ------------------------------------------------------------------ *)
+(* Reader                                                              *)
+(* ------------------------------------------------------------------ *)
 
 exception Parse_error of string
 
@@ -94,6 +158,7 @@ let parse_string_raw st =
                 end
             | _ -> fail st "unknown escape");
             loop ())
+    | Some c when Char.code c < 0x20 -> fail st "unescaped control character"
     | Some c ->
         advance st;
         Buffer.add_char b c;
@@ -102,19 +167,66 @@ let parse_string_raw st =
   loop ();
   Buffer.contents b
 
+(* The JSON number grammar — optional minus, then 0 or a digit run
+   without a leading zero, then an optional fraction and an optional
+   exponent, each with at least one digit — enforced here rather than
+   left to [float_of_string], which also takes "+1", ".5", "1." and
+   "01". *)
 let parse_number st =
   let start = st.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let digits () =
+    let from = st.pos in
+    while (match peek st with Some '0' .. '9' -> true | _ -> false) do
+      advance st
+    done;
+    st.pos > from
   in
-  while (match peek st with Some c -> is_num_char c | None -> false) do
-    advance st
-  done;
+  let bad () = fail st "bad number" in
+  if peek st = Some '-' then advance st;
+  (match peek st with
+  | Some '0' -> advance st
+  | Some '1' .. '9' -> ignore (digits ())
+  | _ -> bad ());
+  let integral = ref true in
+  if peek st = Some '.' then begin
+    advance st;
+    integral := false;
+    if not (digits ()) then bad ()
+  end;
+  (match peek st with
+  | Some ('e' | 'E') ->
+      advance st;
+      integral := false;
+      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
+      if not (digits ()) then bad ()
+  | _ -> ());
   let s = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Number f
-  | None -> fail st (Printf.sprintf "bad number %S" s)
+  match if !integral then int_of_string_opt s else None with
+  | Some i -> Int i
+  | None -> Number (float_of_string s)
+
+(* The comma-separated members of an array or object, the opening
+   bracket already consumed, up to and including [close]. *)
+let sequence st close item =
+  skip_ws st;
+  if peek st = Some close then begin
+    advance st;
+    []
+  end
+  else
+    let rec loop acc =
+      let acc = item () :: acc in
+      skip_ws st;
+      match peek st with
+      | Some ',' ->
+          advance st;
+          loop acc
+      | Some c when c = close ->
+          advance st;
+          List.rev acc
+      | _ -> fail st (Printf.sprintf "expected ',' or '%c'" close)
+    in
+    loop []
 
 let rec parse_value st =
   skip_ws st;
@@ -122,54 +234,16 @@ let rec parse_value st =
   | None -> fail st "unexpected end of input"
   | Some '{' ->
       advance st;
-      skip_ws st;
-      if peek st = Some '}' then begin
-        advance st;
-        Object []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws st;
-          let key = parse_string_raw st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          fields := (key, v) :: !fields;
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              members ()
-          | Some '}' -> advance st
-          | _ -> fail st "expected ',' or '}'"
-        in
-        members ();
-        Object (List.rev !fields)
-      end
+      Object
+        (sequence st '}' (fun () ->
+             skip_ws st;
+             let key = parse_string_raw st in
+             skip_ws st;
+             expect st ':';
+             (key, parse_value st)))
   | Some '[' ->
       advance st;
-      skip_ws st;
-      if peek st = Some ']' then begin
-        advance st;
-        Array []
-      end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value st in
-          items := v :: !items;
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              elements ()
-          | Some ']' -> advance st
-          | _ -> fail st "expected ',' or ']'"
-        in
-        elements ();
-        Array (List.rev !items)
-      end
+      Array (sequence st ']' (fun () -> parse_value st))
   | Some '"' -> String (parse_string_raw st)
   | Some 't' -> literal st "true" (Bool true)
   | Some 'f' -> literal st "false" (Bool false)
@@ -197,8 +271,18 @@ let member key = function
   | Object fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_float = function Number f -> Some f | _ -> None
-let to_int = function Number f -> Some (int_of_float f) | _ -> None
-let to_string = function String s -> Some s | _ -> None
+let to_float = function
+  | Int i -> Some (float_of_int i)
+  | Number f -> Some f
+  | _ -> None
+
+(* exact only: a fractional or out-of-range number is not an int *)
+let to_int = function
+  | Int i -> Some i
+  | Number f when Float.is_integer f && Float.abs f < 0x1p62 ->
+      Some (int_of_float f)
+  | _ -> None
+
+let to_str = function String s -> Some s | _ -> None
 let to_list = function Array l -> Some l | _ -> None
 let to_obj = function Object f -> Some f | _ -> None

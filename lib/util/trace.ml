@@ -740,69 +740,61 @@ let reset () =
         st.hists)
     (snapshot_states ())
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let metrics_object metrics keep render =
+  Json.Object
+    (List.filter_map
+       (fun (name, kind) -> if keep kind then Some (name, render name) else None)
+       metrics)
+
+let hist_summary_json ?(buckets = false) s =
+  let q p = Json.Number (hist_quantile_of s p) in
+  Json.Object
+    ([
+       ("count", Json.Int s.hist_count);
+       ("sum", Json.Number s.hist_sum);
+       ("min", Json.Number s.hist_min);
+       ("max", Json.Number s.hist_max);
+       ("p50", q 0.50);
+       ("p90", q 0.90);
+       ("p95", q 0.95);
+       ("p99", q 0.99);
+     ]
+    @
+    if buckets then
+      [
+        ( "buckets",
+          Json.Array
+            (List.map
+               (fun (ub, c) -> Json.Array [ Json.Number ub; Json.Int c ])
+               s.hist_buckets) );
+      ]
+    else [])
 
 let to_json () =
-  let ids =
-    Mutex.lock reg_m;
-    let a = Array.mapi (fun id (name, kind) -> (name, kind, id)) !reg_names in
-    Mutex.unlock reg_m;
-    Array.sort compare a;
-    Array.to_list a
-  in
-  let b = Buffer.create 512 in
-  let obj key kind fmt =
-    Printf.bprintf b "\"%s\":{" key;
-    let first = ref true in
-    List.iter
-      (fun (name, k, id) ->
-        if k = kind then begin
-          if not !first then Buffer.add_char b ',';
-          first := false;
-          Printf.bprintf b "\"%s\":" (json_escape name);
-          fmt id
-        end)
-      ids;
-    Buffer.add_char b '}'
-  in
-  Printf.bprintf b "{\"enabled\":%b," (enabled ());
-  obj "counters" K_counter (fun id -> Printf.bprintf b "%d" (value id));
-  Buffer.add_char b ',';
-  obj "gauges" K_gauge (fun id -> Printf.bprintf b "%d" (gauge_value id));
-  Buffer.add_char b ',';
-  obj "timers" K_timer (fun id ->
-      Printf.bprintf b "{\"seconds\":%.6f,\"count\":%d}" (timer_seconds id)
-        (timer_count id));
-  Buffer.add_char b ',';
+  let metrics = registry () in
+  let section kind render = metrics_object metrics (( = ) kind) render in
+  let int name = Json.Int (value_by_name name) in
   (* spans reuse the timer accumulators, so totals by name are free *)
-  obj "spans" K_span (fun id ->
-      Printf.bprintf b "{\"seconds\":%.6f,\"count\":%d}" (timer_seconds id)
-        (timer_count id));
-  Buffer.add_char b ',';
-  (* non-finite summary fields (empty histogram) serialize as null *)
-  let jnum v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null" in
-  obj "histograms" K_hist (fun id ->
-      let s = hist_snapshot id in
-      Printf.bprintf b
-        "{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p95\":%s,\"p99\":%s}"
-        s.hist_count (jnum s.hist_sum) (jnum s.hist_min) (jnum s.hist_max)
-        (jnum (hist_quantile_of s 0.50))
-        (jnum (hist_quantile_of s 0.90))
-        (jnum (hist_quantile_of s 0.95))
-        (jnum (hist_quantile_of s 0.99)));
-  Printf.bprintf b
-    ",\"span_records\":{\"logged\":%d,\"dropped\":%d},\"events\":{\"logged\":%d,\"dropped\":%d}}"
-    (spans_logged ()) (spans_dropped ()) (events_logged ()) (events_dropped ());
-  Buffer.contents b
+  let total name =
+    Json.Object
+      [
+        ("seconds", Json.Number (timer_seconds_by_name name));
+        ("count", Json.Int (timer_count_by_name name));
+      ]
+  in
+  let ring logged dropped =
+    Json.Object [ ("logged", Json.Int logged); ("dropped", Json.Int dropped) ]
+  in
+  Json.Object
+    [
+      ("enabled", Json.Bool (enabled ()));
+      ("counters", section Counter int);
+      ("gauges", section Gauge int);
+      ("timers", section Timer total);
+      ("spans", section Span total);
+      ( "histograms",
+        section Hist (fun name -> hist_summary_json (hist_snapshot_by_name name))
+      );
+      ("span_records", ring (spans_logged ()) (spans_dropped ()));
+      ("events", ring (events_logged ()) (events_dropped ()));
+    ]

@@ -268,15 +268,28 @@ val reset : unit -> unit
 (** Zero every counter, gauge, timer and event ring in every registered
     domain state.  Quiescent-point operation. *)
 
-val to_json : unit -> string
-(** One-line JSON object:
-    [{"enabled":bool,"counters":{..},"gauges":{..},
+val metrics_object :
+  (string * metric_kind) list ->
+  (metric_kind -> bool) ->
+  (string -> Json.t) ->
+  Json.t
+(** [metrics_object metrics keep render]: the object mapping each
+    [(name, kind)] of [metrics] with [keep kind] to [render name], in
+    list order — one registry section of a report. *)
+
+val hist_summary_json : ?buckets:bool -> hist_snapshot -> Json.t
+(** [{"count":n,"sum":s,"min":m,"max":M,"p50":..,"p90":..,"p95":..,
+    "p99":..}], plus the raw (non-cumulative) [[upper bound, count]]
+    list under ["buckets"] when [buckets] (default [false]).  Empty
+    histograms have non-finite min/max/quantiles, which serialize as
+    [null]. *)
+
+val to_json : unit -> Json.t
+(** [{"enabled":bool,"counters":{..},"gauges":{..},
       "timers":{name:{"seconds":s,"count":n},..},
       "spans":{name:{"seconds":s,"count":n},..},
-      "histograms":{name:{"count":n,"sum":s,"min":m,"max":M,
-                          "p50":..,"p90":..,"p95":..,"p99":..},..},
+      "histograms":{name:{!hist_summary_json},..},
       "span_records":{"logged":n,"dropped":n},
       "events":{"logged":n,"dropped":n}}]
     with keys sorted by name — the {e full} metric registry, every
-    module's counters included.  Non-finite histogram summary fields
-    (empty recorder) serialize as [null]. *)
+    module's counters included. *)

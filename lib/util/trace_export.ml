@@ -4,48 +4,24 @@
    (`--trace-chrome` / `bench --chrome`) loadable in Perfetto or
    chrome://tracing. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* Structured report                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec bprint_tree b (t : Trace.span_tree) =
-  Printf.bprintf b
-    "{\"name\":\"%s\",\"arg\":%d,\"dom\":%d,\"t0_ns\":%Ld,\"dur_ns\":%Ld,\"minor_words\":%.0f,\"major_words\":%.0f,\"children\":["
-    (json_escape t.Trace.node_name)
-    t.Trace.node_arg t.Trace.node_dom t.Trace.node_t0_ns
-    (Int64.sub t.Trace.node_t1_ns t.Trace.node_t0_ns)
-    t.Trace.node_minor_words t.Trace.node_major_words;
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      bprint_tree b c)
-    t.Trace.node_children;
-  Buffer.add_string b "]}"
+let rec tree_json (t : Trace.span_tree) =
+  Json.Object
+    [
+      ("name", Json.String t.node_name);
+      ("arg", Json.Int t.node_arg);
+      ("dom", Json.Int t.node_dom);
+      ("t0_ns", Json.Int (Int64.to_int t.node_t0_ns));
+      ("dur_ns", Json.Int (Int64.to_int (Int64.sub t.node_t1_ns t.node_t0_ns)));
+      ("minor_words", Json.Int (int_of_float t.node_minor_words));
+      ("major_words", Json.Int (int_of_float t.node_major_words));
+      ("children", Json.Array (List.map tree_json t.node_children));
+    ]
 
-let span_tree_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char b ',';
-      bprint_tree b t)
-    (Trace.span_trees ());
-  Buffer.add_char b ']';
-  Buffer.contents b
+let span_tree_json () = Json.Array (List.map tree_json (Trace.span_trees ()))
 
 (* ------------------------------------------------------------------ *)
 (* Solver-health section                                               *)
@@ -58,76 +34,55 @@ let span_tree_json () =
    cadence).  Emitted as its own section in `--trace` reports and as a
    standalone artifact by `bench --gate` and CI, so dashboards can read
    solver health without parsing the full registry. *)
-let solver_health_schema = "flexile-solver-health"
-let solver_health_version = 1
-
 let solver_health_json () =
-  let keep name = function
-    | Trace.Counter ->
-        String.starts_with ~prefix:"health." name
-        || String.starts_with ~prefix:"simplex." name
-    | Trace.Hist -> String.starts_with ~prefix:"health." name
-    | _ -> false
-  in
   let metrics =
-    List.filter (fun (n, k) -> keep n k) (Trace.registry ())
+    List.filter
+      (fun (name, kind) ->
+        match (kind : Trace.metric_kind) with
+        | Counter ->
+            String.starts_with ~prefix:"health." name
+            || String.starts_with ~prefix:"simplex." name
+        | Hist -> String.starts_with ~prefix:"health." name
+        | _ -> false)
+      (Trace.registry ())
   in
-  let jnum v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null" in
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\"schema\":\"%s\",\"version\":%d,\"counters\":{"
-    solver_health_schema solver_health_version;
-  let first = ref true in
-  List.iter
-    (fun (name, kind) ->
-      if kind = Trace.Counter then begin
-        if !first then first := false else Buffer.add_char b ',';
-        Printf.bprintf b "\"%s\":%d" (json_escape name)
-          (Trace.value_by_name name)
-      end)
-    metrics;
-  Buffer.add_string b "},\"histograms\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, kind) ->
-      if kind = Trace.Hist then begin
-        if !first then first := false else Buffer.add_char b ',';
-        let s = Trace.hist_snapshot_by_name name in
-        Printf.bprintf b "\"%s\":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s"
-          (json_escape name) s.Trace.hist_count (jnum s.Trace.hist_sum)
-          (jnum s.Trace.hist_min) (jnum s.Trace.hist_max);
-        List.iter
-          (fun (label, q) ->
-            Printf.bprintf b ",\"%s\":%s" label
-              (jnum (Trace.hist_quantile_of s q)))
-          [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ];
-        Buffer.add_char b '}'
-      end)
-    metrics;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let section kind render =
+    Trace.metrics_object metrics (fun k -> k = kind) render
+  in
+  Json.Object
+    [
+      ("schema", Json.String "flexile-solver-health");
+      ("version", Json.Int 1);
+      ("counters", section Counter (fun n -> Json.Int (Trace.value_by_name n)));
+      ( "histograms",
+        section Hist (fun n ->
+            Trace.hist_summary_json (Trace.hist_snapshot_by_name n)) );
+    ]
 
 let report_json ?(derived = []) () =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\"derived\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\": %.6g" (json_escape k) v)
-    derived;
-  (* [report] is the full registry — every module's counters, gauges,
-     timers and span totals, not just the offline solver's *)
-  Printf.bprintf b "},\"report\":%s,\"solver_health\":%s,\"span_tree\":%s"
-    (Trace.to_json ())
-    (solver_health_json ())
-    (span_tree_json ());
-  (* ring/record saturation at top level: a nonzero drop count means
-     the span_tree above (and the event stream) is truncated — silent
-     truncation would read as "nothing else happened" *)
-  Printf.bprintf b
-    ",\"drops\":{\"events_logged\":%d,\"events_dropped\":%d,\"span_records_logged\":%d,\"span_records_dropped\":%d,\"spans_open\":%d}}"
-    (Trace.events_logged ()) (Trace.events_dropped ()) (Trace.spans_logged ())
-    (Trace.spans_dropped ()) (Trace.spans_open ());
-  Buffer.contents b
+  let int n = Json.Int n in
+  Json.Object
+    [
+      ( "derived",
+        Json.Object (List.map (fun (k, v) -> (k, Json.Number v)) derived) );
+      (* [report] is the full registry — every module's counters,
+         gauges, timers and span totals, not just the offline solver's *)
+      ("report", Trace.to_json ());
+      ("solver_health", solver_health_json ());
+      ("span_tree", span_tree_json ());
+      (* ring/record saturation at top level: a nonzero drop count means
+         the span_tree above (and the event stream) is truncated —
+         silent truncation would read as "nothing else happened" *)
+      ( "drops",
+        Json.Object
+          [
+            ("events_logged", int (Trace.events_logged ()));
+            ("events_dropped", int (Trace.events_dropped ()));
+            ("span_records_logged", int (Trace.spans_logged ()));
+            ("span_records_dropped", int (Trace.spans_dropped ()));
+            ("spans_open", int (Trace.spans_open ()));
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event format                                           *)
@@ -142,84 +97,85 @@ let chrome_json () =
   let events = Trace.events () in
   let t_min =
     List.fold_left
-      (fun acc (r : Trace.span_record) -> min acc r.Trace.span_t0_ns)
+      (fun acc (r : Trace.span_record) -> min acc r.span_t0_ns)
       Int64.max_int spans
     |> fun acc ->
-    List.fold_left
-      (fun acc (e : Trace.event_record) -> min acc e.Trace.t_ns)
-      acc events
+    List.fold_left (fun acc (e : Trace.event_record) -> min acc e.t_ns) acc events
   in
   let t_min = if t_min = Int64.max_int then 0L else t_min in
-  let us t = Int64.to_float (Int64.sub t t_min) /. 1e3 in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  let emit fmt =
-    if !first then first := false else Buffer.add_char b ',';
-    Printf.bprintf b fmt
+  let us t = Json.Number (Int64.to_float (Int64.sub t t_min) /. 1e3) in
+  let event ?(pre = []) ?(tid = 0) ?(post = []) ph name args =
+    Json.Object
+      ([ ("ph", Json.String ph); ("name", Json.String name) ]
+      @ pre
+      @ [ ("pid", Json.Int 0); ("tid", Json.Int tid) ]
+      @ post
+      @ [ ("args", Json.Object args) ])
   in
-  emit
-    "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"flexile\"}}";
-  let doms =
-    List.sort_uniq compare
-      (List.map (fun (r : Trace.span_record) -> r.Trace.span_dom) spans
-      @ List.map (fun (e : Trace.event_record) -> e.Trace.dom) events)
+  let meta =
+    event "M" "process_name" [ ("name", Json.String "flexile") ]
+    :: List.map
+         (fun d ->
+           event "M" "thread_name" ~tid:d
+             [ ("name", Json.String (Printf.sprintf "domain %d" d)) ])
+         (List.sort_uniq compare
+            (List.map (fun (r : Trace.span_record) -> r.span_dom) spans
+            @ List.map (fun (e : Trace.event_record) -> e.dom) events))
   in
-  List.iter
-    (fun d ->
-      emit
-        "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"domain %d\"}}"
-        d d)
-    doms;
-  List.iter
-    (fun (r : Trace.span_record) ->
-      emit
-        "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"span\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"arg\":%d,\"depth\":%d,\"minor_words\":%.0f,\"major_words\":%.0f}}"
-        (json_escape r.Trace.span_name)
-        r.Trace.span_dom (us r.Trace.span_t0_ns)
-        (Int64.to_float (Int64.sub r.Trace.span_t1_ns r.Trace.span_t0_ns)
-        /. 1e3)
-        r.Trace.span_arg r.Trace.span_depth r.Trace.span_minor_words
-        r.Trace.span_major_words)
-    spans;
-  List.iter
-    (fun (e : Trace.event_record) ->
-      emit
-        "{\"ph\":\"i\",\"name\":\"%s\",\"cat\":\"probe\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"args\":{\"arg\":%d}}"
-        (json_escape e.Trace.name) e.Trace.dom (us e.Trace.t_ns) e.Trace.arg)
-    events;
+  let complete =
+    List.map
+      (fun (r : Trace.span_record) ->
+        event "X" r.span_name ~tid:r.span_dom
+          ~pre:[ ("cat", Json.String "span") ]
+          ~post:
+            [
+              ("ts", us r.span_t0_ns);
+              ( "dur",
+                Json.Number
+                  (Int64.to_float (Int64.sub r.span_t1_ns r.span_t0_ns) /. 1e3)
+              );
+            ]
+          [
+            ("arg", Json.Int r.span_arg);
+            ("depth", Json.Int r.span_depth);
+            ("minor_words", Json.Int (int_of_float r.span_minor_words));
+            ("major_words", Json.Int (int_of_float r.span_major_words));
+          ])
+      spans
+  in
+  let instants =
+    List.map
+      (fun (e : Trace.event_record) ->
+        event "i" e.name ~tid:e.dom
+          ~pre:[ ("cat", Json.String "probe"); ("s", Json.String "t") ]
+          ~post:[ ("ts", us e.t_ns) ]
+          [ ("arg", Json.Int e.arg) ])
+      events
+  in
   (* final counter samples: Trace aggregates totals, not series, so a
      single C event at the trace's end still surfaces every counter and
      gauge in Perfetto's counter tracks *)
   let t_end =
     List.fold_left
-      (fun acc (r : Trace.span_record) -> max acc (us r.Trace.span_t1_ns))
-      0. spans
+      (fun acc (r : Trace.span_record) -> max acc r.span_t1_ns)
+      t_min spans
   in
-  (match Json.parse (Trace.to_json ()) with
-  | Error _ -> ()
-  | Ok report ->
-      let sample section =
-        match Json.member section report with
-        | Some (Json.Object fields) ->
-            List.iter
-              (fun (name, v) ->
-                match Json.to_float v with
-                | Some x ->
-                    emit
-                      "{\"ph\":\"C\",\"name\":\"%s\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"args\":{\"value\":%.0f}}"
-                      (json_escape name) t_end x
-                | None -> ())
-              fields
-        | _ -> ()
-      in
-      sample "counters";
-      sample "gauges");
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_char oc '\n';
-  close_out oc
+  let registry = Trace.registry () in
+  let samples kind =
+    List.filter_map
+      (fun (name, k) ->
+        if k = kind then
+          Some
+            (event "C" name ~post:[ ("ts", us t_end) ]
+               [ ("value", Json.Int (Trace.value_by_name name)) ])
+        else None)
+      registry
+  in
+  Json.Object
+    [
+      ("displayTimeUnit", Json.String "ms");
+      ( "traceEvents",
+        Json.Array
+          (meta @ complete @ instants @ samples Trace.Counter
+         @ samples Trace.Gauge) );
+    ]

@@ -1,6 +1,6 @@
 (** Serializers over {!Trace}'s quiescent-point reads. *)
 
-val report_json : ?derived:(string * float) list -> unit -> string
+val report_json : ?derived:(string * float) list -> unit -> Json.t
 (** The structured report written by [flexile --trace] and embedded by
     [bench --json]:
     [{"derived":{..}, "report":<full registry>, "solver_health":{..},
@@ -15,30 +15,24 @@ val report_json : ?derived:(string * float) list -> unit -> string
     truncated span tree or event stream is visible rather than
     silent. *)
 
-val span_tree_json : unit -> string
+val span_tree_json : unit -> Json.t
 (** Just the [span_tree] array. *)
 
-val solver_health_schema : string
-val solver_health_version : int
-
-val solver_health_json : unit -> string
+val solver_health_json : unit -> Json.t
 (** The numerical-health section: a schema'd
     ([{"schema":"flexile-solver-health","version":1,...}]) projection
     of every [health.*] counter and histogram (samples, threshold
     trips, stalls, residual/condition/growth distributions — see
     [Flexile_lp.Health]) plus the [simplex.*] counters that give them
-    context.  Embedded in {!report_json} and written standalone by
+    context; each histogram is a {!Trace.hist_summary_json}.  Embedded
+    in {!report_json} and written standalone by
     [bench --gate] and CI so dashboards read solver health without
     parsing the full registry. *)
 
-val chrome_json : unit -> string
+val chrome_json : unit -> Json.t
 (** Chrome trace-event JSON (object format), loadable in Perfetto /
     chrome://tracing: one track per domain, complete [X] events for
     spans (args carry the span tag, depth and GC allocation deltas),
     instant [i] events for probes, and one final [C] sample per
     counter/gauge.  Timestamps are microseconds relative to the
     earliest recorded instant. *)
-
-val write_file : string -> string -> unit
-(** [write_file path contents] writes [contents] plus a trailing
-    newline. *)

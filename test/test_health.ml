@@ -6,6 +6,7 @@
 open Flexile_lp
 module Prng = Flexile_util.Prng
 module Trace = Flexile_util.Trace
+module Json = Flexile_util.Json
 
 let prod_thresholds () = Health.default_thresholds ()
 
@@ -126,7 +127,7 @@ let test_near_singular_fixture () =
         (Health.stalls r.Doctor.r_health <> []);
       (* the rendered diagnosis names the phase and the rows *)
       let mem needle =
-        let h = r.Doctor.r_report in
+        let h = Json.to_string r.Doctor.r_report in
         let n = String.length needle and l = String.length h in
         let rec go i =
           i + n <= l && (String.equal (String.sub h i n) needle || go (i + 1))
@@ -210,7 +211,7 @@ let test_dump_round_trip () =
       d_vstat = Array.make n 0;
     }
   in
-  let s = Health.dump_to_string dump in
+  let s = Json.to_string (Health.dump_json dump) in
   let path = Filename.temp_file "flexile-health" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -234,10 +235,11 @@ let test_dump_round_trip () =
              float survives through the hex literals *)
           Alcotest.(check string)
             "model json byte-identical"
-            (Health.model_to_json_string model)
-            (Health.model_to_json_string d.Health.d_model);
+            (Json.to_string (Health.model_json model))
+            (Json.to_string (Health.model_json d.Health.d_model));
           Alcotest.(check string)
-            "dump re-serializes byte-identically" s (Health.dump_to_string d))
+            "dump re-serializes byte-identically" s
+            (Json.to_string (Health.dump_json d)))
 
 (* ---- threshold trip writes a dump; diagnose-basis measures it ---- *)
 
@@ -306,7 +308,7 @@ let test_doctor_deterministic () =
   let report name =
     match Doctor.run_fixture name with
     | Error e -> Alcotest.failf "fixture: %s" e
-    | Ok r -> r.Doctor.r_report
+    | Ok r -> Json.to_string r.Doctor.r_report
   in
   List.iter
     (fun name ->
@@ -320,7 +322,7 @@ let test_doctor_deterministic () =
   let from_dump () =
     match Doctor.run_dump path with
     | Error e -> Alcotest.failf "run_dump: %s" e
-    | Ok r -> r.Doctor.r_report
+    | Ok r -> Json.to_string r.Doctor.r_report
   in
   Alcotest.(check string) "dump replay byte-stable" (from_dump ()) (from_dump ())
 
@@ -333,32 +335,28 @@ let test_solver_health_json () =
   (match Doctor.run_fixture "near-singular" with
   | Error e -> Alcotest.failf "fixture: %s" e
   | Ok _ -> ());
-  let s = Flexile_util.Trace_export.solver_health_json () in
-  match Flexile_util.Json.parse s with
-  | Error e -> Alcotest.failf "solver_health not JSON: %s" e
-  | Ok j ->
-      let module Json = Flexile_util.Json in
-      Alcotest.(check (option string))
-        "schema" (Some "flexile-solver-health")
-        (Option.bind (Json.member "schema" j) Json.to_string);
-      let counters = Json.member "counters" j in
-      let counter name =
-        Option.bind counters (fun c ->
-            Option.bind (Json.member name c) Json.to_int)
-      in
-      (match counter "health.samples" with
-      | Some n when n > 0 -> ()
-      | v ->
-          Alcotest.failf "health.samples missing or zero (%s)"
-            (match v with Some n -> string_of_int n | None -> "absent"));
-      (match counter "health.threshold_trips" with
-      | Some n when n > 0 -> ()
-      | _ -> Alcotest.failf "health.threshold_trips missing or zero");
-      match
-        Option.bind (Json.member "histograms" j) (Json.member "health.cond1_log10")
-      with
-      | Some _ -> ()
-      | None -> Alcotest.fail "health.cond1_log10 histogram absent"
+  let j = Flexile_util.Trace_export.solver_health_json () in
+  Alcotest.(check (option string))
+    "schema" (Some "flexile-solver-health")
+    (Option.bind (Json.member "schema" j) Json.to_str);
+  let counters = Json.member "counters" j in
+  let counter name =
+    Option.bind counters (fun c ->
+        Option.bind (Json.member name c) Json.to_int)
+  in
+  (match counter "health.samples" with
+  | Some n when n > 0 -> ()
+  | v ->
+      Alcotest.failf "health.samples missing or zero (%s)"
+        (match v with Some n -> string_of_int n | None -> "absent"));
+  (match counter "health.threshold_trips" with
+  | Some n when n > 0 -> ()
+  | _ -> Alcotest.failf "health.threshold_trips missing or zero");
+  match
+    Option.bind (Json.member "histograms" j) (Json.member "health.cond1_log10")
+  with
+  | Some _ -> ()
+  | None -> Alcotest.fail "health.cond1_log10 histogram absent"
 
 let () =
   Alcotest.run "flexile_health"

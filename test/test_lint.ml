@@ -209,7 +209,7 @@ let json_shape () =
     | Error e -> Alcotest.failf "summary does not parse: %s" e
   in
   let str_member k =
-    match Option.bind (Json.member k j) Json.to_string with
+    match Option.bind (Json.member k j) Json.to_str with
     | Some s -> s
     | None -> Alcotest.failf "missing string member %s" k
   in

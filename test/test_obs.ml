@@ -102,17 +102,15 @@ let test_slo_report_json_parses () =
   let nk = Array.length inst.Instance.classes in
   let slo = Slo.create ~promised:(Array.make nk 0.5) inst in
   Slo.observe slo ~sid:0 ~losses:(Array.make (Instance.nflows inst) 0.);
-  match Json.parse (Slo.report_json slo) with
-  | Error e -> Alcotest.failf "report_json does not parse: %s" e
-  | Ok j ->
-      Alcotest.(check (option int))
-        "draws field" (Some 1)
-        (Option.bind (Json.member "draws" j) Json.to_int);
-      let classes =
-        Option.bind (Json.member "classes" j) Json.to_list
-        |> Option.value ~default:[]
-      in
-      Alcotest.(check int) "one entry per class" nk (List.length classes)
+  let j = Slo.report_json slo in
+  Alcotest.(check (option int))
+    "draws field" (Some 1)
+    (Option.bind (Json.member "draws" j) Json.to_int);
+  let classes =
+    Option.bind (Json.member "classes" j) Json.to_list
+    |> Option.value ~default:[]
+  in
+  Alcotest.(check int) "one entry per class" nk (List.length classes)
 
 (* ---- Prometheus exposition ---- *)
 
@@ -268,40 +266,36 @@ let test_snapshot_json_parses () =
   with_tracing true @@ fun () ->
   let h = Trace.hist "test.obs_snapshot_hist" in
   List.iter (Trace.observe h) [ 1.; 2.; 3. ];
-  match Json.parse (Export.snapshot_json ()) with
-  | Error e -> Alcotest.failf "snapshot_json does not parse: %s" e
-  | Ok j ->
+  let j = Export.snapshot_json () in
+  List.iter
+    (fun section ->
+      match Json.member section j with
+      | Some (Json.Object _) -> ()
+      | _ -> Alcotest.failf "missing section %s" section)
+    [ "counters"; "gauges"; "timers"; "histograms" ];
+  let entry =
+    Option.bind (Json.member "histograms" j) (fun hs ->
+        Json.member "test.obs_snapshot_hist" hs)
+  in
+  (match entry with
+  | None -> Alcotest.fail "histogram entry missing"
+  | Some e ->
+      Alcotest.(check (option int))
+        "count" (Some 3)
+        (Option.bind (Json.member "count" e) Json.to_int);
       List.iter
-        (fun section ->
-          match Json.member section j with
-          | Some (Json.Object _) -> ()
-          | _ -> Alcotest.failf "missing section %s" section)
-        [ "counters"; "gauges"; "timers"; "histograms" ];
-      let entry =
-        Option.bind (Json.member "histograms" j) (fun hs ->
-            Json.member "test.obs_snapshot_hist" hs)
-      in
-      (match entry with
-      | None -> Alcotest.fail "histogram entry missing"
-      | Some e ->
-          Alcotest.(check (option int))
-            "count" (Some 3)
-            (Option.bind (Json.member "count" e) Json.to_int);
-          List.iter
-            (fun f ->
-              if Option.is_none (Json.member f e) then
-                Alcotest.failf "missing field %s" f)
-            [ "sum"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]);
-      (* histograms_json additionally carries raw bucket lists *)
-      (match Json.parse (Export.histograms_json ()) with
-      | Error e -> Alcotest.failf "histograms_json does not parse: %s" e
-      | Ok hj -> (
-          match
-            Option.bind (Json.member "test.obs_snapshot_hist" hj) (fun e ->
-                Json.member "buckets" e)
-          with
-          | Some (Json.Array (_ :: _)) -> ()
-          | _ -> Alcotest.fail "bucket list missing"))
+        (fun f ->
+          if Option.is_none (Json.member f e) then
+            Alcotest.failf "missing field %s" f)
+        [ "sum"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]);
+  (* histograms_json additionally carries raw bucket lists *)
+  match
+    Option.bind
+      (Json.member "test.obs_snapshot_hist" (Export.histograms_json ()))
+      (Json.member "buckets")
+  with
+  | Some (Json.Array (_ :: _)) -> ()
+  | _ -> Alcotest.fail "bucket list missing"
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

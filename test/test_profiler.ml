@@ -171,43 +171,40 @@ let test_chrome_well_formed () =
   Trace.in_span ~arg:5 sp (fun () -> Trace.in_span sp (fun () -> ()));
   Trace.event (Trace.probe "prof.chrome_event") 9;
   Trace.incr (Trace.counter "prof.chrome_counter");
-  let doc = Trace_export.chrome_json () in
-  match Json.parse doc with
-  | Error e -> Alcotest.failf "chrome trace does not parse: %s" e
-  | Ok j -> (
-      match Option.bind (Json.member "traceEvents" j) Json.to_list with
-      | None -> Alcotest.fail "no traceEvents array"
-      | Some events ->
-          if events = [] then Alcotest.fail "empty traceEvents";
-          let phases = ref [] in
-          List.iter
-            (fun e ->
-              let str k = Option.bind (Json.member k e) Json.to_string in
-              let num k = Option.bind (Json.member k e) Json.to_float in
-              let ph =
-                match str "ph" with
-                | Some p -> p
-                | None -> Alcotest.fail "event without ph"
-              in
-              phases := ph :: !phases;
-              if str "name" = None then Alcotest.fail "event without name";
-              if num "pid" = None then Alcotest.fail "event without pid";
-              match ph with
-              | "X" ->
-                  let ts = Option.get (num "ts") and d = Option.get (num "dur") in
-                  if ts < 0. || d < 0. then Alcotest.fail "negative ts/dur";
-                  if num "tid" = None then Alcotest.fail "X without tid"
-              | "C" ->
-                  if Json.member "args" e = None then
-                    Alcotest.fail "C without args"
-              | "i" | "M" -> ()
-              | p -> Alcotest.failf "unexpected phase %s" p)
-            events;
-          List.iter
-            (fun p ->
-              if not (List.mem p !phases) then
-                Alcotest.failf "no %s events emitted" p)
-            [ "X"; "M"; "i"; "C" ])
+  let j = Trace_export.chrome_json () in
+  match Option.bind (Json.member "traceEvents" j) Json.to_list with
+  | None -> Alcotest.fail "no traceEvents array"
+  | Some events ->
+      if events = [] then Alcotest.fail "empty traceEvents";
+      let phases = ref [] in
+      List.iter
+        (fun e ->
+          let str k = Option.bind (Json.member k e) Json.to_str in
+          let num k = Option.bind (Json.member k e) Json.to_float in
+          let ph =
+            match str "ph" with
+            | Some p -> p
+            | None -> Alcotest.fail "event without ph"
+          in
+          phases := ph :: !phases;
+          if str "name" = None then Alcotest.fail "event without name";
+          if num "pid" = None then Alcotest.fail "event without pid";
+          match ph with
+          | "X" ->
+              let ts = Option.get (num "ts") and d = Option.get (num "dur") in
+              if ts < 0. || d < 0. then Alcotest.fail "negative ts/dur";
+              if num "tid" = None then Alcotest.fail "X without tid"
+          | "C" ->
+              if Json.member "args" e = None then
+                Alcotest.fail "C without args"
+          | "i" | "M" -> ()
+          | p -> Alcotest.failf "unexpected phase %s" p)
+        events;
+      List.iter
+        (fun p ->
+          if not (List.mem p !phases) then
+            Alcotest.failf "no %s events emitted" p)
+        [ "X"; "M"; "i"; "C" ]
 
 let test_report_has_full_registry () =
   with_tracing true @@ fun () ->
@@ -215,35 +212,32 @@ let test_report_has_full_registry () =
   (* touch metrics from several modules, then check they all appear *)
   let inst = Flexile_core.Builder.fig1 () in
   ignore (Flexile_core.Schemes.run ~jobs:2 Flexile_core.Schemes.Flexile inst);
-  let doc = Flexile_te.Flexile_offline.trace_json () in
-  match Json.parse doc with
-  | Error e -> Alcotest.failf "report does not parse: %s" e
-  | Ok j ->
-      let report =
-        match Json.member "report" j with
-        | Some r -> r
-        | None -> Alcotest.fail "no report section"
-      in
-      let counters =
-        match Option.bind (Json.member "counters" report) Json.to_obj with
-        | Some c -> c
-        | None -> Alcotest.fail "no counters object"
-      in
-      List.iter
-        (fun name ->
-          match List.assoc_opt name counters with
-          | Some (Json.Number v) when v > 0. -> ()
-          | Some _ -> Alcotest.failf "counter %s is zero in the dump" name
-          | None -> Alcotest.failf "counter %s missing from the dump" name)
-        [
-          "simplex.cold_solves"; "engine.sweeps"; "parallel.maps";
-          "flexile.subproblems_solved"; "gc.minor_words";
-        ];
-      (match Json.member "span_tree" j with
-      | Some (Json.Array (_ :: _)) -> ()
-      | _ -> Alcotest.fail "span_tree missing or empty");
-      if Trace.spans_open () <> 0 then
-        Alcotest.fail "solver left spans open at the quiescent point"
+  let j = Flexile_te.Flexile_offline.trace_json () in
+  let report =
+    match Json.member "report" j with
+    | Some r -> r
+    | None -> Alcotest.fail "no report section"
+  in
+  let counters =
+    match Option.bind (Json.member "counters" report) Json.to_obj with
+    | Some c -> c
+    | None -> Alcotest.fail "no counters object"
+  in
+  List.iter
+    (fun name ->
+      match List.assoc_opt name counters with
+      | Some (Json.Int v) when v > 0 -> ()
+      | Some _ -> Alcotest.failf "counter %s is zero in the dump" name
+      | None -> Alcotest.failf "counter %s missing from the dump" name)
+    [
+      "simplex.cold_solves"; "engine.sweeps"; "parallel.maps";
+      "flexile.subproblems_solved"; "gc.minor_words";
+    ];
+  (match Json.member "span_tree" j with
+  | Some (Json.Array (_ :: _)) -> ()
+  | _ -> Alcotest.fail "span_tree missing or empty");
+  if Trace.spans_open () <> 0 then
+    Alcotest.fail "solver left spans open at the quiescent point"
 
 (* ---- the regression gate on synthetic baselines ---- *)
 
@@ -327,7 +321,7 @@ let test_json_parser () =
   (match ok {|{"a": [1, 2.5, -3e2], "b": "x\n\"yA", "c": true, "d": null}|} with
   | Json.Object fields ->
       (match List.assoc "a" fields with
-      | Json.Array [ Json.Number 1.; Json.Number 2.5; Json.Number -300. ] -> ()
+      | Json.Array [ Json.Int 1; Json.Number 2.5; Json.Number -300. ] -> ()
       | _ -> Alcotest.fail "array mismatch");
       (match List.assoc "b" fields with
       | Json.String "x\n\"yA" -> ()
@@ -341,7 +335,85 @@ let test_json_parser () =
       match Json.parse s with
       | Ok _ -> Alcotest.failf "accepted %S" s
       | Error _ -> ())
-    [ "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "" ]
+    [
+      "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; ""; "+1"; ".5"; "1."; "01"; "-";
+      "1e"; "1e+"; "-.5"; "0x10"; "1_000"; "nan"; "inf"; "\"a\tb\"";
+    ];
+  (* integer literals that fit are exact [Int]s, larger ones floats;
+     [to_int] never truncates *)
+  Alcotest.(check (option int)) "max_int literal" (Some max_int)
+    (Option.bind (Result.to_option (Json.parse (string_of_int max_int))) Json.to_int);
+  (match Json.parse "4611686018427387904" with
+  | Ok (Json.Number _) -> ()
+  | _ -> Alcotest.fail "int overflow must parse as Number");
+  List.iter
+    (fun (v, want) ->
+      Alcotest.(check (option int)) (Json.to_string v) want (Json.to_int v))
+    [
+      (Json.Int 3, Some 3);
+      (Json.Number 2., Some 2);
+      (Json.Number 2.5, None);
+      (Json.Number 1.9, None);
+      (Json.Number 1e300, None);
+      (Json.Number Float.nan, None);
+      (Json.String "1", None);
+    ]
+
+(* The writer and the reader are inverses on every value the writer
+   can express exactly: strings with arbitrary bytes (control bytes,
+   tab, quote, backslash), every [Int] (extremes included) and
+   [Number]s at 9 significant digits that do not print as integer
+   literals.  Non-finite numbers, which JSON cannot carry, come back
+   as [Null]. *)
+let qcheck_json_roundtrip =
+  let open QCheck.Gen in
+  let str =
+    string_size ~gen:(oneof [ char; oneofl [ '\t'; '"'; '\\'; '\n'; '\000'; '\031' ] ])
+      (0 -- 12)
+  in
+  let exact_number =
+    map
+      (fun x ->
+        let s = Printf.sprintf "%.9g" x in
+        if String.exists (fun c -> c = '.' || c = 'e') s then float_of_string s
+        else 0.25)
+      (oneof [ float; float_range (-1e3) 1e3 ])
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ int; oneofl [ max_int; min_int; 0 ] ]);
+        map (fun f -> Json.Number f) exact_number;
+        map (fun f -> Json.Number f) (oneofl [ Float.nan; infinity; neg_infinity ]);
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  let value =
+    sized_size (0 -- 3)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Array l) (list_size (0 -- 4) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Object l)
+                     (list_size (0 -- 4) (pair str (self (n - 1)))) );
+               ])
+  in
+  let rec canon = function
+    | Json.Number f when not (Float.is_finite f) -> Json.Null
+    | Json.Array l -> Json.Array (List.map canon l)
+    | Json.Object l -> Json.Object (List.map (fun (k, v) -> (k, canon v)) l)
+    | v -> v
+  in
+  QCheck.Test.make ~name:"parse inverts to_string" ~count:500
+    (QCheck.make ~print:Json.to_string value) (fun v ->
+      Json.parse (Json.to_string v) = Ok (canon v))
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -370,5 +442,9 @@ let () =
           quick "rejects bad input" test_gate_rejects_garbage;
           quick "median" test_median;
         ] );
-      ("json", [ quick "reader" test_json_parser ]);
+      ( "json",
+        [
+          quick "reader" test_json_parser;
+          QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+        ] );
     ]

@@ -6,6 +6,7 @@
 module Trace = Flexile_util.Trace
 module Parallel = Flexile_util.Parallel
 module Offline = Flexile_te.Flexile_offline
+module Json = Flexile_util.Json
 
 let with_tracing enabled f =
   let was = Trace.enabled () in
@@ -117,32 +118,25 @@ let test_json_shape () =
   with_tracing true @@ fun () ->
   Trace.incr (Trace.counter "test.json_counter");
   let j = Trace.to_json () in
-  let must s =
-    if not (String.length j >= String.length s) then
-      Alcotest.failf "report too short for %s" s;
-    let found = ref false in
-    for i = 0 to String.length j - String.length s do
-      if String.sub j i (String.length s) = s then found := true
-    done;
-    if not !found then Alcotest.failf "report lacks %s: %s" s j
+  let rec has v = function
+    | [] -> true
+    | k :: rest -> (
+        match Json.member k v with Some v -> has v rest | None -> false)
   in
-  must "\"enabled\":true";
-  must "\"counters\"";
-  must "\"test.json_counter\"";
-  must "\"timers\"";
-  must "\"events\"";
-  let oj = Offline.trace_json () in
-  let contains s =
-    let n = String.length s in
-    let found = ref false in
-    for i = 0 to String.length oj - n do
-      if String.sub oj i n = s then found := true
-    done;
-    !found
-  in
+  if Json.member "enabled" j <> Some (Json.Bool true) then
+    Alcotest.fail "report lacks \"enabled\":true";
   List.iter
-    (fun s -> if not (contains s) then Alcotest.failf "offline trace lacks %s" s)
-    [ "\"derived\""; "\"subproblem_sweep_seconds\""; "\"report\"" ];
+    (fun path ->
+      if not (has j path) then
+        Alcotest.failf "report lacks %s: %s" (String.concat "." path)
+          (Json.to_string j))
+    [ [ "counters" ]; [ "counters"; "test.json_counter" ]; [ "timers" ]; [ "events" ] ];
+  let oj = Offline.trace_json () in
+  List.iter
+    (fun path ->
+      if not (has oj path) then
+        Alcotest.failf "offline trace lacks %s" (String.concat "." path))
+    [ [ "derived" ]; [ "derived"; "subproblem_sweep_seconds" ]; [ "report" ] ];
   (* subproblems are always cold-solved: no derived key reports warm
      restarts any more *)
   List.iter

@@ -632,8 +632,10 @@ let render_finding f =
   Printf.sprintf "%s:%d: [%s] %s%s" f.file f.line f.rule f.message
     (render_chain f.chain)
 
-(* JSON emission mirrors the conventions of Flexile_util.Trace_export:
-   hand-rolled Buffer writer, escaped strings, stable field order. *)
+(* JSON emission has its own small Buffer writer (escaped strings,
+   stable field order, a pretty-printed summary): this library depends
+   on compiler-libs only, not on Flexile_util.Json, the single writer
+   every artifact of the solver itself goes through. *)
 let esc b s =
   Buffer.add_char b '"';
   String.iter
