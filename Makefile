@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint lint-deep json-check monitor-smoke explain-smoke doctor-smoke ablation-smoke verify baseline clean
+.PHONY: all build test bench lint lint-deep json-check env-check monitor-smoke explain-smoke doctor-smoke ablation-smoke verify baseline clean
 
 all: build
 
@@ -56,6 +56,20 @@ json-check:
 	fi
 	@echo "json-check: ok"
 
+# One-way-to-set-it guard (DESIGN.md section 16): settings are CLI flags
+# or constants, never environment variables.  The single sanctioned
+# read is the FLEXILE_HEALTH_DUMP directory in Health.dump_dir — a
+# deployment path, not a tuning knob.  Fails on any other getenv,
+# getenv_opt or Unix.environment in an .ml under lib/, bin/ or bench/.
+ENV_READ := getenv|Unix\.environment
+env-check:
+	@if grep -rnE --include='*.ml' '$(ENV_READ)' lib bin bench \
+	  | grep -vE '^lib/lp/health\.ml:[0-9]+:  match Sys\.getenv_opt "FLEXILE_HEALTH_DUMP" with$$'; then \
+	  echo "env-check: add a CLI flag or a constant, not an environment variable"; \
+	  exit 1; \
+	fi
+	@echo "env-check: ok"
+
 # SLO monitor smoke (DESIGN.md section 10): replay a short seeded
 # failure stream twice and assert the Prometheus page and the JSONL
 # snapshot series are byte-identical — the deterministic-export
@@ -82,16 +96,16 @@ monitor-smoke: | $(SMOKE_DIR)
 explain-smoke: | $(SMOKE_DIR)
 	dune build bin/flexile_cli.exe
 	dune exec --no-build bin/flexile_cli.exe -- explain IBM --two-class \
-	  --scenarios srlg,partial,drift --max-pairs 60 --iterations 1 --jobs 1 \
+	  --mix srlg,partial,drift --max-pairs 60 --iterations 1 --jobs 1 \
 	  --out $(SMOKE_DIR)/explain-a.json \
 	  --regimes $(SMOKE_DIR)/explain-a-regimes.json
 	dune exec --no-build bin/flexile_cli.exe -- explain IBM --two-class \
-	  --scenarios srlg,partial,drift --max-pairs 60 --iterations 1 --jobs 4 \
+	  --mix srlg,partial,drift --max-pairs 60 --iterations 1 --jobs 4 \
 	  --out $(SMOKE_DIR)/explain-b.json \
 	  --regimes $(SMOKE_DIR)/explain-b-regimes.json \
 	  --prom $(SMOKE_DIR)/explain-b.prom
 	dune exec --no-build bin/flexile_cli.exe -- explain IBM --two-class \
-	  --scenarios srlg,partial,drift --max-pairs 60 --iterations 1 --jobs 4 \
+	  --mix srlg,partial,drift --max-pairs 60 --iterations 1 --jobs 4 \
 	  --prom $(SMOKE_DIR)/explain-c.prom
 	cmp $(SMOKE_DIR)/explain-a.json $(SMOKE_DIR)/explain-b.json
 	cmp $(SMOKE_DIR)/explain-a-regimes.json $(SMOKE_DIR)/explain-b-regimes.json
@@ -139,7 +153,7 @@ BENCH_TOLERANCE ?= 50
 
 # Tier-1 verification: full build, both lint stages (syntactic
 # pre-build signal, then the deep typedtree stage over the fresh cmts),
-# the single-JSON-writer guard, the test suite, the monitor/explain/doctor determinism smokes, the
+# the single-JSON-writer and environment-read guards, the test suite, the monitor/explain/doctor determinism smokes, the
 # offline-ablation smoke, a
 # smoke run of the micro-benchmarks (exercises the parallel sweep at
 # jobs 1 and 4), and the regression gate against the committed
@@ -149,6 +163,7 @@ verify:
 	dune build
 	$(MAKE) lint-deep
 	$(MAKE) json-check
+	$(MAKE) env-check
 	dune runtest
 	$(MAKE) monitor-smoke
 	$(MAKE) explain-smoke

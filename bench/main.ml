@@ -305,15 +305,6 @@ let run_gate ~jobs ~repeat =
            ignore (Flexile_te.Swan.run_maxmin ~jobs mixed)));
     ignore
       (timed "simplex-60x40" (fun () ->
-           (* FLEXILE_GATE_HANDICAP_MS: deliberately slow this phase so
-              the regression gate's failure path can be exercised
-              end-to-end (see DESIGN.md §8) *)
-           (match Sys.getenv_opt "FLEXILE_GATE_HANDICAP_MS" with
-           | Some v -> (
-               match int_of_string_opt (String.trim v) with
-               | Some ms when ms > 0 -> Unix.sleepf (float_of_int ms /. 1000.)
-               | _ -> ())
-           | None -> ());
            let model = simplex_gate_model () in
            for _ = 1 to 20 do
              ignore (Flexile_lp.Simplex.solve model)
@@ -398,7 +389,7 @@ let () =
       ("--micro", Arg.Set micro, "run only the Bechamel micro-benchmarks");
       ( "--jobs",
         Arg.Set_int jobs,
-        "worker domains for scenario sweeps (0 = auto/FLEXILE_JOBS)" );
+        "worker domains for scenario sweeps (0 = auto: one per core)" );
       ("--json", Arg.Set_string json, "dump figure + micro timings to FILE");
       ( "--gate",
         Arg.Set gate,
@@ -423,30 +414,13 @@ let () =
   in
   Arg.parse args (fun _ -> ()) "flexile benchmark harness";
   if !baseline_out <> "" || !check_file <> "" then gate := true;
-  (* tracing is on by default under the bench harness so --json can
-     report solver counters; FLEXILE_TRACE=0 vetoes it, which is how
-     the no-overhead path is itself benchmarked *)
-  if not (Trace.env_disabled ()) then Trace.set_enabled true;
-  let profile = if !full then Figures.full else Figures.quick in
-  (* environment overrides for constrained machines / CI *)
-  let getenv_int name current =
-    match Sys.getenv_opt name with
-    | Some v -> ( match int_of_string_opt v with Some i -> i | None -> current)
-    | None -> current
-  in
-  (* 0 = auto: Parallel resolves it, FLEXILE_JOBS included *)
+  (* tracing is on under the bench harness so --json can report solver
+     counters *)
+  Trace.set_enabled true;
+  (* 0 = auto: Parallel resolves it *)
   let jobs = !jobs in
   let profile =
-    {
-      profile with
-      Figures.max_scenarios =
-        getenv_int "FLEXILE_BENCH_SCENARIOS" profile.Figures.max_scenarios;
-      max_pairs = getenv_int "FLEXILE_BENCH_PAIRS" profile.Figures.max_pairs;
-      emu_runs = getenv_int "FLEXILE_BENCH_EMU_RUNS" profile.Figures.emu_runs;
-      cvar_scenarios =
-        getenv_int "FLEXILE_BENCH_CVAR_SCENARIOS" profile.Figures.cvar_scenarios;
-      jobs;
-    }
+    { (if !full then Figures.full else Figures.quick) with Figures.jobs }
   in
   let profile_name = if !full then "full" else "quick" in
   let effective_jobs = Parallel.resolve_jobs (Some jobs) in

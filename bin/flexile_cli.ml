@@ -15,8 +15,7 @@ let trace_arg =
     "Enable solver tracing and write the structured JSON report (the \
      full metric registry — every module's counters, gauges and \
      timers — plus the hierarchical span tree) to $(docv) when the \
-     command completes.  Tracing can also be forced on for any command \
-     with FLEXILE_TRACE=1."
+     command completes."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -66,66 +65,12 @@ let topology_arg =
   let doc = "Topology name from Table 2 (e.g. IBM, Sprint, B4)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"TOPOLOGY" ~doc)
 
-let two_class_arg =
-  let doc = "Use the two-traffic-class setup (high + low priority)." in
-  Arg.(value & flag & info [ "two-class" ] ~doc)
-
-let scenarios_arg =
-  let doc =
-    "Maximum number of failure scenarios to enumerate ($(docv) = count), or \
-     a comma-separated scenario mix (e.g. srlg,partial,drift) enumerated \
-     with the default cap.  Regimes: independent, srlg, partial, drift, \
-     diurnal, maintenance."
-  in
-  Arg.(value & opt string "150" & info [ "scenarios" ] ~docv:"N|MIX" ~doc)
-
-let mix_arg =
-  let doc =
-    "Scenario regime mix to compose, e.g. srlg,partial,drift (default: \
-     independent Weibull link failures).  Equivalent to passing the mix \
-     directly to --scenarios, but keeps the count configurable."
-  in
-  Arg.(value & opt (some string) None & info [ "mix" ] ~docv:"MIX" ~doc)
-
-let pairs_arg =
-  let doc = "Maximum number of site pairs (sampled deterministically)." in
-  Arg.(value & opt int 240 & info [ "max-pairs" ] ~doc)
-
 let jobs_arg =
   let doc =
-    "Worker domains for the per-scenario sweeps (0 = auto: FLEXILE_JOBS or \
-     one per core).  Results are identical for every value."
+    "Worker domains for the per-scenario sweeps (0 = auto: one per core).  \
+     Results are identical for every value."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-(* --scenarios accepts either an enumeration cap or a mix spec; an
-   explicit --mix wins over a mix passed via --scenarios. *)
-let parse_scenarios_arg spec =
-  match int_of_string_opt (String.trim spec) with
-  | Some n ->
-      if n <= 0 then failwith "--scenarios: count must be positive";
-      (n, None)
-  | None -> (150, Some spec)
-
-let build_instance ?(two = false) ?(scenarios = "150") ?mix
-    ?(cap_scenarios = max_int) ?(max_pairs = 240) name =
-  let count, spec_mix = parse_scenarios_arg scenarios in
-  let scenario_mix =
-    match mix with
-    | Some m -> m
-    | None -> Option.value spec_mix ~default:"independent"
-  in
-  (* validate early for a friendly CLI error *)
-  ignore (Flexile_core.Builder.parse_mix scenario_mix);
-  let options =
-    {
-      Flexile_core.Builder.default_options with
-      Flexile_core.Builder.max_scenarios = min count cap_scenarios;
-      max_pairs;
-      scenario_mix;
-    }
-  in
-  Flexile_core.Builder.of_name ~options ~two_classes:two name
 
 let print_instance inst =
   Printf.printf "topology %s: %d nodes, %d links, %d pairs, %d flows, %d scenarios (%.5f%% mass)\n"
@@ -141,6 +86,85 @@ let print_instance inst =
         c.Instance.beta c.Instance.weight)
     inst.Instance.classes
 
+(* The instance options shared by every subcommand that builds an
+   instance (--two-class, --scenarios, --mix, --max-pairs).  The term
+   evaluates to a builder from a topology name that also prints the
+   instance summary; augment caps the scenario and pair counts. *)
+let instance_term ?(cap_scenarios = max_int) ?(cap_pairs = max_int) () =
+  let two_class =
+    let doc = "Use the two-traffic-class setup (high + low priority)." in
+    Arg.(value & flag & info [ "two-class" ] ~doc)
+  in
+  let scenarios =
+    let positive =
+      let parse s =
+        match int_of_string_opt (String.trim s) with
+        | Some n when n > 0 -> Ok n
+        | _ -> Error (`Msg "count must be a positive integer")
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    let doc = "Maximum number of failure scenarios to enumerate." in
+    Arg.(value & opt positive 150 & info [ "scenarios" ] ~docv:"N" ~doc)
+  in
+  let mix =
+    let mix_conv =
+      (* validate early for a friendly CLI error *)
+      let parse s =
+        match Flexile_core.Builder.parse_mix s with
+        | _ -> Ok s
+        | exception Invalid_argument e -> Error (`Msg e)
+      in
+      Arg.conv (parse, Format.pp_print_string)
+    in
+    let doc =
+      "Comma-separated scenario regime mix to compose, e.g. \
+       srlg,partial,drift.  Regimes: independent (Weibull link failures, \
+       the default), srlg, partial, drift, diurnal, maintenance."
+    in
+    Arg.(
+      value
+      & opt mix_conv
+          Flexile_core.Builder.(default_options.scenario_mix)
+      & info [ "mix" ] ~docv:"MIX" ~doc)
+  in
+  let max_pairs =
+    let doc = "Maximum number of site pairs (sampled deterministically)." in
+    Arg.(value & opt int 240 & info [ "max-pairs" ] ~doc)
+  in
+  let build two_classes count scenario_mix max_pairs name =
+    let options =
+      {
+        Flexile_core.Builder.default_options with
+        Flexile_core.Builder.max_scenarios = min count cap_scenarios;
+        max_pairs = min max_pairs cap_pairs;
+        scenario_mix;
+      }
+    in
+    let inst = Flexile_core.Builder.of_name ~options ~two_classes name in
+    print_instance inst;
+    inst
+  in
+  Term.(const build $ two_class $ scenarios $ mix $ max_pairs)
+
+(* --iterations and --jobs as the offline-phase configuration shared by
+   solve, monitor, explain and doctor; solve adds §4.4's --gamma. *)
+let offline_term ?(gamma = Term.const None) () =
+  let iterations =
+    Arg.(
+      value & opt int 5
+      & info [ "iterations" ] ~doc:"Offline decomposition iterations.")
+  in
+  let config max_iterations jobs gamma =
+    {
+      Flexile_te.Flexile_offline.default_config with
+      Flexile_te.Flexile_offline.max_iterations;
+      jobs;
+      gamma;
+    }
+  in
+  Term.(const config $ iterations $ jobs_arg $ gamma)
+
 let report inst name losses =
   Array.iteri
     (fun k (c : Instance.cls) ->
@@ -152,26 +176,13 @@ let report inst name losses =
 (* ---- solve ---- *)
 
 let solve_cmd =
-  let iterations =
-    Arg.(value & opt int 5 & info [ "iterations" ] ~doc:"Offline decomposition iterations.")
-  in
   let gamma =
     Arg.(value & opt (some float) None & info [ "gamma" ]
            ~doc:"Bound non-critical flows' loss to gamma + per-scenario optimum (section 4.4).")
   in
-  let run () name two scenarios mix max_pairs iterations gamma jobs trace
-      chrome =
+  let run () name build config trace chrome =
     with_trace trace chrome @@ fun () ->
-    let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
-    print_instance inst;
-    let config =
-      {
-        Flexile_te.Flexile_offline.default_config with
-        Flexile_te.Flexile_offline.max_iterations = iterations;
-        gamma;
-        jobs;
-      }
-    in
+    let inst = build name in
     let r = Flexile_te.Flexile_scheme.run ~config inst in
     report inst "Flexile" r.Flexile_te.Flexile_scheme.losses;
     let off = r.Flexile_te.Flexile_scheme.offline in
@@ -183,9 +194,8 @@ let solve_cmd =
       off.Flexile_te.Flexile_offline.best.Flexile_te.Flexile_offline.penalty
   in
   let term =
-    Term.(const run $ verbose_term $ topology_arg $ two_class_arg
-          $ scenarios_arg $ mix_arg $ pairs_arg $ iterations $ gamma
-          $ jobs_arg $ trace_arg $ chrome_arg)
+    Term.(const run $ verbose_term $ topology_arg $ instance_term ()
+          $ offline_term ~gamma () $ trace_arg $ chrome_arg)
   in
   Cmd.v (Cmd.info "solve" ~doc:"Run Flexile (offline + online) on a topology.") term
 
@@ -196,10 +206,9 @@ let compare_cmd =
     let doc = "Comma-separated schemes (default: Flexile,SMORE,SWAN-Maxmin)." in
     Arg.(value & opt string "Flexile,SMORE,SWAN-Maxmin" & info [ "schemes" ] ~doc)
   in
-  let run () name two scenarios mix max_pairs schemes jobs trace chrome =
+  let run () name build schemes jobs trace chrome =
     with_trace trace chrome @@ fun () ->
-    let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
-    print_instance inst;
+    let inst = build name in
     String.split_on_char ',' schemes
     |> List.iter (fun s ->
            match Flexile_core.Schemes.of_string (String.trim s) with
@@ -213,9 +222,8 @@ let compare_cmd =
                    (Flexile_core.Schemes.name scheme)))
   in
   let term =
-    Term.(const run $ verbose_term $ topology_arg $ two_class_arg
-          $ scenarios_arg $ mix_arg $ pairs_arg $ schemes_arg $ jobs_arg
-          $ trace_arg $ chrome_arg)
+    Term.(const run $ verbose_term $ topology_arg $ instance_term ()
+          $ schemes_arg $ jobs_arg $ trace_arg $ chrome_arg)
   in
   Cmd.v (Cmd.info "compare" ~doc:"Compare TE schemes on a topology.") term
 
@@ -274,12 +282,11 @@ let emulate_cmd =
   let runs_arg =
     Arg.(value & opt int 5 & info [ "runs" ] ~doc:"Independent emulation runs.")
   in
-  let run () name two scenarios mix max_pairs scheme runs jobs =
+  let run () name build scheme runs jobs =
     match Flexile_core.Schemes.of_string scheme with
     | None -> Printf.printf "unknown scheme: %s\n" scheme
     | Some scheme ->
-        let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
-        print_instance inst;
+        let inst = build name in
         let model = Flexile_core.Schemes.run ~jobs scheme inst in
         report inst (Flexile_core.Schemes.name scheme ^ " (model)") model;
         for i = 1 to runs do
@@ -299,9 +306,8 @@ let emulate_cmd =
         done
   in
   let term =
-    Term.(const run $ verbose_term $ topology_arg $ two_class_arg
-          $ scenarios_arg $ mix_arg $ pairs_arg $ scheme_arg $ runs_arg
-          $ jobs_arg)
+    Term.(const run $ verbose_term $ topology_arg $ instance_term ()
+          $ scheme_arg $ runs_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "emulate" ~doc:"Emulate a scheme's allocation with discretization.")
@@ -318,10 +324,6 @@ let emulate_cmd =
    the exporters run with [~deterministic:true], which restricts them
    to metrics that are pure functions of the seeded work. *)
 let monitor_cmd =
-  let iterations =
-    Arg.(value & opt int 5
-         & info [ "iterations" ] ~doc:"Offline decomposition iterations.")
-  in
   let seed_arg =
     Arg.(value & opt int 42
          & info [ "seed" ] ~docv:"N"
@@ -373,19 +375,12 @@ let monitor_cmd =
                    deterministic metric exports differ from a run without \
                    this flag.")
   in
-  let run () name two scenarios mix max_pairs iterations jobs seed draws
-      snapshot_every window prom jsonl emulate explain =
+  let run () name build config seed draws snapshot_every window prom jsonl
+      emulate explain =
     (* histograms and counters drive the report; enable unconditionally *)
     Trace.set_enabled true;
-    let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
-    print_instance inst;
-    let config =
-      {
-        Flexile_te.Flexile_offline.default_config with
-        Flexile_te.Flexile_offline.max_iterations = iterations;
-        jobs;
-      }
-    in
+    let inst = build name in
+    let jobs = config.Flexile_te.Flexile_offline.jobs in
     let off = Flexile_te.Flexile_offline.solve ~config inst in
     let best = off.Flexile_te.Flexile_offline.best in
     let promised =
@@ -527,9 +522,8 @@ let monitor_cmd =
       (Flexile_obs.Slo.report slo)
   in
   let term =
-    Term.(const run $ verbose_term $ topology_arg $ two_class_arg
-          $ scenarios_arg $ mix_arg $ pairs_arg $ iterations $ jobs_arg
-          $ seed_arg $ draws_arg $ snapshot_arg $ window_arg $ prom_arg
+    Term.(const run $ verbose_term $ topology_arg $ instance_term ()
+          $ offline_term () $ seed_arg $ draws_arg $ snapshot_arg $ window_arg $ prom_arg
           $ jsonl_arg $ emulate_arg $ explain_arg)
   in
   Cmd.v
@@ -547,10 +541,6 @@ let monitor_cmd =
    All artifacts are byte-identical for a fixed instance across runs
    and across --jobs values. *)
 let explain_cmd =
-  let iterations =
-    Arg.(value & opt int 5
-         & info [ "iterations" ] ~doc:"Offline decomposition iterations.")
-  in
   let tol_arg =
     Arg.(value & opt float 1e-6
          & info [ "tol" ] ~docv:"EPS"
@@ -583,19 +573,11 @@ let explain_cmd =
              ~doc:"Write the regime-conditioned attainment table (per class, \
                    per failure regime) as JSON to $(docv).")
   in
-  let run () name two scenarios mix max_pairs iterations jobs tol top out
-      prom regimes =
+  let run () name build config tol top out prom regimes =
     (* the regret histogram and attribution families need the registry on *)
     Trace.set_enabled true;
-    let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
-    print_instance inst;
-    let config =
-      {
-        Flexile_te.Flexile_offline.default_config with
-        Flexile_te.Flexile_offline.max_iterations = iterations;
-        jobs;
-      }
-    in
+    let inst = build name in
+    let jobs = config.Flexile_te.Flexile_offline.jobs in
     let off = Flexile_te.Flexile_offline.solve ~config inst in
     let best = off.Flexile_te.Flexile_offline.best in
     let promised =
@@ -680,9 +662,8 @@ let explain_cmd =
       regimes
   in
   let term =
-    Term.(const run $ verbose_term $ topology_arg $ two_class_arg
-          $ scenarios_arg $ mix_arg $ pairs_arg $ iterations $ jobs_arg
-          $ tol_arg $ top_arg $ out_arg $ prom_arg $ regimes_arg)
+    Term.(const run $ verbose_term $ topology_arg $ instance_term ()
+          $ offline_term () $ tol_arg $ top_arg $ out_arg $ prom_arg $ regimes_arg)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -741,14 +722,7 @@ let doctor_cmd =
              solve the LP a second time with the frozen dense simplex by \
              default).")
   in
-  let iterations =
-    Arg.(
-      value & opt int 5
-      & info [ "iterations" ]
-          ~doc:"Offline decomposition iterations (topology mode).")
-  in
-  let run () topo fixture dump two scenarios mix max_pairs iterations jobs out
-      chrome no_oracle =
+  let run () topo fixture dump build config out chrome no_oracle =
     let oracle = not no_oracle in
     let deliver what report =
       let text = Json.to_string report ^ "\n" in
@@ -787,15 +761,7 @@ let doctor_cmd =
         (* full-pipeline replay: health telemetry accumulates in the
            registry; the report is its solver_health projection *)
         Trace.set_enabled true;
-        let inst = build_instance ~two ~scenarios ?mix ~max_pairs name in
-        print_instance inst;
-        let config =
-          {
-            Flexile_te.Flexile_offline.default_config with
-            Flexile_te.Flexile_offline.max_iterations = iterations;
-            jobs;
-          }
-        in
+        let inst = build name in
         let off = Flexile_te.Flexile_offline.solve ~config inst in
         Printf.printf
           "offline: %d iterations, %d subproblem solves, %.2fs wall\n"
@@ -831,8 +797,8 @@ let doctor_cmd =
   in
   let term =
     Term.(const run $ verbose_term $ topo_arg $ fixture_arg $ dump_arg
-          $ two_class_arg $ scenarios_arg $ mix_arg $ pairs_arg $ iterations
-          $ jobs_arg $ out_arg $ chrome_arg $ no_oracle_arg)
+          $ instance_term () $ offline_term () $ out_arg $ chrome_arg
+          $ no_oracle_arg)
   in
   Cmd.v
     (Cmd.info "doctor"
@@ -851,10 +817,8 @@ let augment_cmd =
     let doc = "Planning mode: flexile (per-flow critical scenarios) or common (scenario-centric)." in
     Arg.(value & opt string "flexile" & info [ "mode" ] ~doc)
   in
-  let run () name two scenarios mix max_pairs limit mode =
-    let inst = build_instance ~two ~scenarios ?mix ~cap_scenarios:30
-        ~max_pairs:(min max_pairs 40) name in
-    print_instance inst;
+  let run () name build limit mode =
+    let inst = build name in
     let mode =
       if String.lowercase_ascii mode = "common" then `Common else `Per_flow
     in
@@ -878,8 +842,9 @@ let augment_cmd =
     end
   in
   let term =
-    Term.(const run $ verbose_term $ topology_arg $ two_class_arg
-          $ scenarios_arg $ mix_arg $ pairs_arg $ limit_arg $ mode_arg)
+    Term.(const run $ verbose_term $ topology_arg
+          $ instance_term ~cap_scenarios:30 ~cap_pairs:40 ()
+          $ limit_arg $ mode_arg)
   in
   Cmd.v
     (Cmd.info "augment"

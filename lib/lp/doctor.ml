@@ -92,17 +92,11 @@ let fixture = function
   | "degenerate" -> Some (degenerate_fixture ())
   | _ -> None
 
-(* Elevated instrumentation: unless the operator pinned a stall limit
-   through the environment, the doctor drops it from the production 120
-   (the Bland threshold) to 8 so short degenerate episodes — invisible
-   in normal operation by design — show up in a diagnosis run. *)
-let doctor_stall_limit = 8
-
-let doctor_thresholds () =
-  let t = Health.default_thresholds () in
-  match Sys.getenv_opt "FLEXILE_HEALTH_STALL" with
-  | Some s when not (String.equal s "") -> t
-  | _ -> { t with Health.stall_limit = doctor_stall_limit }
+(* Elevated instrumentation: the doctor drops the stall limit from the
+   production 120 (the Bland threshold) to 8 so short degenerate
+   episodes — invisible in normal operation by design — show up in a
+   diagnosis run. *)
+let doctor_thresholds = { Health.default_thresholds with stall_limit = 8 }
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering                                                    *)
@@ -445,7 +439,7 @@ let render ~source ~model ~(sol : Simplex.solution) ~health
   { r_report = report; r_solution = sol; r_health = health; r_healthy = dg.dg_healthy }
 
 let run_lp ?(oracle = true) ?(source = Src_model) ?dump model =
-  let thresholds = doctor_thresholds () in
+  let thresholds = doctor_thresholds in
   let eta_limit =
     match dump with
     | Some d -> d.Health.d_eta_limit

@@ -26,10 +26,9 @@ val fixture_names : string list
 
 val fixture : string -> Lp_model.t option
 
-val doctor_thresholds : unit -> Health.thresholds
-(** [Health.default_thresholds] with the stall limit lowered to 8
-    (unless pinned via [FLEXILE_HEALTH_STALL]) — the doctor's elevated
-    instrumentation. *)
+val doctor_thresholds : Health.thresholds
+(** [Health.default_thresholds] with the stall limit lowered to 8 — the
+    doctor's elevated instrumentation. *)
 
 (** {1 Running a diagnosis} *)
 

@@ -85,6 +85,7 @@ type t = {
   m : int;
   ntot : int;
   model : Lp_model.t; (* kept for health snapshots, never re-read *)
+  eta_limit : int option; (* explicit eta-file cap, recorded in dumps *)
   csc : Lp_model.csc;
   lo : float array;
   up : float array;
@@ -126,11 +127,6 @@ let slack_bounds sense =
   | Lp_model.Le -> (0., infinity)
   | Lp_model.Ge -> (neg_infinity, 0.)
   | Lp_model.Eq -> (0., 0.)
-
-let eta_limit_env () =
-  match Sys.getenv_opt "FLEXILE_ETA_LIMIT" with
-  | Some s -> int_of_string_opt s
-  | None -> None
 
 let create ?eta_limit ?thresholds model =
   let n = Lp_model.nvars model and m = Lp_model.nrows model in
@@ -176,14 +172,12 @@ let create ?eta_limit ?thresholds model =
       fill.(i) <- fill.(i) + 1
     done
   done;
-  let eta_limit =
-    match eta_limit with Some _ as l -> l | None -> eta_limit_env ()
-  in
   {
     n;
     m;
     ntot;
     model;
+    eta_limit;
     csc = Lp_model.csc model;
     lo;
     up;
@@ -228,7 +222,7 @@ let dump_on_trip st reasons =
              Health.d_reasons = reasons;
              d_phase = st.hphase;
              d_iteration = st.hiter;
-             d_eta_limit = eta_limit_env ();
+             d_eta_limit = st.eta_limit;
              d_model = st.model;
              d_basis = Array.copy st.bas;
              d_vstat = Array.copy st.vstat;
@@ -239,7 +233,7 @@ let create ?eta_limit ?thresholds model =
   Health.set_on_trip st.health (dump_on_trip st);
   st
 
-let make model = create model
+let make ?eta_limit model = create ?eta_limit model
 
 (* Iterate over the (row, coefficient) entries of column [j]. *)
 let col_iter st j f =
@@ -1045,7 +1039,7 @@ let solve_warm ?iter_limit st =
   | _ -> cold_solve ?iter_limit st
 
 let extend st model =
-  let st2 = create model in
+  let st2 = create ?eta_limit:st.eta_limit model in
   if st2.n <> st.n || st2.m < st.m then
     invalid_arg "Simplex.extend: model must only gain rows";
   match st.last_status with

@@ -55,7 +55,10 @@ val solve : ?iter_limit:int -> Lp_model.t -> solution
 
 type t
 
-val make : Lp_model.t -> t
+val make : ?eta_limit:int -> Lp_model.t -> t
+(** [eta_limit] caps the eta file between refactorizations (default:
+    the [Sparse.Basis] cap); tests use a short file to force frequent
+    refactorization.  {!extend} keeps the cap. *)
 
 val solve_warm : ?iter_limit:int -> t -> solution
 (** First solve (cold).  Subsequent calls re-solve for the model's
@@ -89,8 +92,9 @@ val solve_doctor :
 (** Cold-solve [model] with the health timeline captured in memory
     (every refactorization, stall and loop sampled) — the elevated
     instrumentation [flexile doctor] replays under.  [eta_limit]
-    overrides the FLEXILE_ETA_LIMIT/default eta-file cap, letting a
-    dump replay reproduce the original refactorization cadence. *)
+    overrides the default eta-file cap and is recorded in any health
+    dump, letting a replay reproduce the original refactorization
+    cadence. *)
 
 val diagnose_basis :
   ?eta_limit:int ->

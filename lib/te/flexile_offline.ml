@@ -54,10 +54,9 @@ let default_config =
     gamma = None;
     share_cuts = true;
     prune = true;
-    (* 0 = auto: FLEXILE_JOBS or one worker domain per core.  The
-       subproblem sweep shards scenarios over the Parallel pool; every
-       subproblem is cold-solved, so the result is bit-identical to
-       jobs=1. *)
+    (* 0 = auto: one worker domain per core.  The subproblem sweep
+       shards scenarios over the Parallel pool; every subproblem is
+       cold-solved, so the result is bit-identical to jobs=1. *)
     jobs = 0;
     master = { Mip.default_options with node_limit = 400; time_limit = 30. };
   }

@@ -32,9 +32,9 @@ type config = {
           for ablation studies *)
   jobs : int;
       (** worker domains for the subproblem sweep (via
-          {!Scenario_engine}); [0] = auto ([FLEXILE_JOBS] or one per
-          core).  Subproblems are cold-solved, so the result is
-          bit-identical for every job count *)
+          {!Scenario_engine}); [0] = auto (one per core).
+          Subproblems are cold-solved, so the result is bit-identical
+          for every job count *)
   master : Flexile_lp.Mip.options;
 }
 

@@ -17,11 +17,8 @@
     count.
 
     [jobs] convention, everywhere in this repository: [0] (or an
-    omitted argument) means "auto" — the [FLEXILE_JOBS] environment
-    variable if set, otherwise one worker per available core. *)
-
-val default_jobs : unit -> int
-(** See {!Flexile_util.Parallel.default_jobs}. *)
+    omitted argument) means "auto" — one worker per available core,
+    clamped to [1, 64] ({!Flexile_util.Parallel.resolve_jobs}). *)
 
 val sweep :
   ?jobs:int ->

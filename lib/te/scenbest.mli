@@ -8,8 +8,8 @@
     loss 1 in the scenario.
 
     All entry points sweep scenarios through {!Scenario_engine};
-    [jobs = 0] (the default) means auto ([FLEXILE_JOBS] or one worker
-    per core), and results are identical for every job count. *)
+    [jobs = 0] (the default) means auto (one worker per core), and
+    results are identical for every job count. *)
 
 val run : ?jobs:int -> Instance.t -> Instance.losses
 (** Single-class ScenBest / SMORE: ignores class boundaries (treats

@@ -11,21 +11,8 @@ let sp_shard = Trace.span "parallel.shard"
    is the straggler signal the imbalance gauge only summarizes *)
 let h_shard = Trace.hist "parallel.shard_seconds"
 
-let env_jobs () =
-  match Sys.getenv_opt "FLEXILE_JOBS" with
-  | None -> None
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some j when j >= 1 -> Some (min j max_jobs)
-      | _ -> None)
-
-let default_jobs () =
-  match env_jobs () with
-  | Some j -> j
-  | None -> max 1 (min max_jobs (Domain.recommended_domain_count ()))
-
 let resolve_jobs = function
-  | None | Some 0 -> default_jobs ()
+  | None | Some 0 -> max 1 (min max_jobs (Domain.recommended_domain_count ()))
   | Some j -> max 1 (min max_jobs j)
 
 (* A pool broadcasts one task closure per [map] call; worker [w] runs

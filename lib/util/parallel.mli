@@ -15,14 +15,9 @@
     The sequential fallback (effective jobs = 1, or [n <= 1]) runs
     entirely in the calling domain and spawns nothing. *)
 
-val default_jobs : unit -> int
-(** Effective job count used when none is requested: the [FLEXILE_JOBS]
-    environment variable if it parses to a positive integer, otherwise
-    [Domain.recommended_domain_count ()].  Clamped to [1, 64]. *)
-
 val resolve_jobs : int option -> int
-(** [None] and [Some 0] mean "auto" ({!default_jobs}); [Some j] with
-    [j >= 1] is clamped to at most 64. *)
+(** [None] and [Some 0] mean "auto": [Domain.recommended_domain_count ()]
+    clamped to [1, 64].  [Some j] is clamped to [1, 64]. *)
 
 type pool
 (** A fixed set of worker domains, reusable across many [map] calls.

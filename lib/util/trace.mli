@@ -9,12 +9,8 @@
     protocol has already published the workers' writes.
 
     Tracing is disabled by default; a disabled probe costs exactly one
-    load-and-branch per operation.  It is enabled either
-    programmatically ({!set_enabled}, e.g. by [flexile --trace] and the
-    bench harness) or by setting the [FLEXILE_TRACE] environment
-    variable to anything but [0]/[false]/[off].  [FLEXILE_TRACE=0]
-    explicitly vetoes tracing ({!env_disabled}), which the bench harness
-    honors when measuring overhead.
+    load-and-branch per operation.  It is enabled only through
+    {!set_enabled} (e.g. by [flexile --trace] and the bench harness).
 
     Determinism: counter values are integer sums over domains, so they
     are identical for every job count whenever the traced work is
@@ -28,11 +24,6 @@
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-
-val env_disabled : unit -> bool
-(** [true] iff the [FLEXILE_TRACE] environment variable explicitly
-    disables tracing ([0], [false], [off] or empty).  Harnesses that
-    enable tracing by default check this first. *)
 
 (** {1 Metrics}
 

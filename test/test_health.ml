@@ -8,8 +8,6 @@ module Prng = Flexile_util.Prng
 module Trace = Flexile_util.Trace
 module Json = Flexile_util.Json
 
-let prod_thresholds () = Health.default_thresholds ()
-
 (* Random bounded LP (never unbounded): the healthy workload. *)
 let random_lp prng ~nv ~nr =
   let m = Lp_model.create () in
@@ -27,7 +25,7 @@ let random_lp prng ~nv ~nr =
   done;
   m
 
-(* ---- FLEXILE_ETA_LIMIT=1 walk: a sample per pivot epoch ---- *)
+(* ---- eta-limit-1 walk: a sample per pivot epoch ---- *)
 
 (* With the eta file capped at one update, every pivot forces a
    refactorization, so the capture timeline densely samples the solve;
@@ -37,7 +35,7 @@ let test_eta_limit_walk () =
   for trial = 1 to 10 do
     let m = random_lp prng ~nv:12 ~nr:10 in
     let sol, h =
-      Simplex.solve_doctor ~eta_limit:1 ~thresholds:(prod_thresholds ()) m
+      Simplex.solve_doctor ~eta_limit:1 ~thresholds:Health.default_thresholds m
     in
     let samples = Health.samples h in
     (match sol.Simplex.status with
@@ -164,7 +162,7 @@ let test_healthy_suite_silent () =
   let prng = Prng.of_string "health-silent" in
   for trial = 1 to 25 do
     let m = random_lp prng ~nv:(4 + Prng.int prng 10) ~nr:(3 + Prng.int prng 8) in
-    let _, h = Simplex.solve_doctor ~thresholds:(prod_thresholds ()) m in
+    let _, h = Simplex.solve_doctor ~thresholds:Health.default_thresholds m in
     List.iter
       (fun (s : Health.sample) ->
         if s.Health.s_tripped <> [] then
@@ -302,6 +300,26 @@ let test_auto_dump_and_patch_path () =
             (s.Health.s_patched <> [])
       | l -> Alcotest.failf "expected one sample, got %d" (List.length l))
 
+(* A trip under an explicit eta limit records that limit in the dump,
+   so a replay reproduces the refactorization cadence of the original
+   solve. *)
+let test_dump_records_eta_limit () =
+  with_dump_dir @@ fun dir ->
+  let model =
+    match Doctor.fixture "near-singular" with
+    | Some m -> m
+    | None -> Alcotest.fail "near-singular fixture missing"
+  in
+  ignore
+    (Simplex.solve_doctor ~eta_limit:1 ~thresholds:Doctor.doctor_thresholds
+       model);
+  let path = Health.dump_path ~dir ~model in
+  Alcotest.(check bool) "trip wrote the snapshot" true (Sys.file_exists path);
+  match Health.read_dump path with
+  | Error e -> Alcotest.failf "read_dump: %s" e
+  | Ok d ->
+      Alcotest.(check (option int)) "d_eta_limit" (Some 1) d.Health.d_eta_limit
+
 (* ---- doctor reports are deterministic ---- *)
 
 let test_doctor_deterministic () =
@@ -382,6 +400,8 @@ let () =
             test_dump_round_trip;
           Alcotest.test_case "trip auto-dumps; patch path reported" `Quick
             test_auto_dump_and_patch_path;
+          Alcotest.test_case "dump records the explicit eta limit" `Quick
+            test_dump_records_eta_limit;
         ] );
       ( "doctor",
         [

@@ -109,6 +109,9 @@ let test_resolve_jobs () =
   Alcotest.(check int) "explicit" 5 (Parallel.resolve_jobs (Some 5));
   Alcotest.(check int) "clamped" 64 (Parallel.resolve_jobs (Some 1000));
   Alcotest.(check bool) "auto is positive" true (Parallel.resolve_jobs None >= 1);
+  Alcotest.(check int) "auto is the clamped core count"
+    (max 1 (min 64 (Domain.recommended_domain_count ())))
+    (Parallel.resolve_jobs None);
   Alcotest.(check int) "zero means auto"
     (Parallel.resolve_jobs None)
     (Parallel.resolve_jobs (Some 0))

@@ -4,13 +4,14 @@
    reference implementation (Simplex_dense) on random LPs and on
    min-MLU models over catalog topologies: statuses must be identical
    and objectives must agree to 1e-9 relative.  The eta-update path is
-   checked against the refactorize-every-pivot path (FLEXILE_ETA_LIMIT=1),
+   checked against the refactorize-every-pivot path (eta limit 1),
    and the Sparse kernel itself is checked against a dense Gaussian
    elimination. *)
 
 open Flexile_lp
 module Sp = Sparse
 module Prng = Flexile_util.Prng
+module Trace = Flexile_util.Trace
 module Graph = Flexile_net.Graph
 module Tunnels = Flexile_net.Tunnels
 
@@ -329,12 +330,14 @@ let test_topology_differential () =
 (* ---- eta updates vs refactorize-every-pivot, through the solver ----
 
    The same warm RHS walk, once with the default eta limit and once
-   with FLEXILE_ETA_LIMIT=1 (every pivot triggers a fresh LU).  Both
+   with an eta limit of 1 (every pivot triggers a fresh LU).  Both
    runs must report identical statuses and objectives to 1e-9: the
-   product-form updates may not change results, only speed. *)
+   product-form updates may not change results, only speed.  The
+   refactorization counter proves the limit-1 walk really took the
+   other path. *)
 
-let walk_objs m nsteps =
-  let st = Simplex.make m in
+let walk_objs ?eta_limit m nsteps =
+  let st = Simplex.make ?eta_limit m in
   let prng = Prng.of_string "sparse-eta-walk" in
   let first = Simplex.solve_warm st in
   let objs = ref [ (sparse_status first.Simplex.status, first.Simplex.obj) ] in
@@ -347,18 +350,29 @@ let walk_objs m nsteps =
   done;
   List.rev !objs
 
+let counting_refactorizations f =
+  let before = Trace.value_by_name "simplex.refactorizations" in
+  let r = f () in
+  (r, Trace.value_by_name "simplex.refactorizations" - before)
+
 let test_eta_vs_refactor_walk () =
   let model () =
     let prng = Prng.of_string "sparse-eta-model" in
     random_lp prng ~nv:12 ~nr:10
   in
-  let with_eta = walk_objs (model ()) 8 in
-  Unix.putenv "FLEXILE_ETA_LIMIT" "1";
-  let without_eta =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "FLEXILE_ETA_LIMIT" "")
-      (fun () -> walk_objs (model ()) 8)
+  Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Trace.set_enabled false) @@ fun () ->
+  let with_eta, refactors_eta =
+    counting_refactorizations (fun () -> walk_objs (model ()) 8)
   in
+  let without_eta, refactors_one =
+    counting_refactorizations (fun () -> walk_objs ~eta_limit:1 (model ()) 8)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "eta limit 1 refactorizes more (%d vs %d)" refactors_one
+       refactors_eta)
+    true
+    (refactors_one > refactors_eta);
   List.iteri
     (fun i ((s1, o1), (s2, o2)) ->
       Alcotest.(check string) (Printf.sprintf "step %d status" i) s2 s1;
