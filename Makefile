@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint lint-deep json-check env-check monitor-smoke explain-smoke doctor-smoke ablation-smoke verify baseline clean
+.PHONY: all build test bench lint lint-deep json-check env-check monitor-smoke explain-smoke doctor-smoke ablation-smoke perf-smoke verify baseline clean
 
 all: build
 
@@ -146,6 +146,24 @@ ablation-smoke: | $(SMOKE_DIR)
 	    if (n != 4 || k != 1) { print "ablation: expected 4 variants at one penalty"; exit 1 } }' \
 	  $(SMOKE_DIR)/ablation.txt
 
+# Pivot-path allocation smoke (DESIGN.md section 11): one traced
+# cwix-master perfbench round.  Fails unless the run reports
+# "correct":true and the master branch-and-bound allocates at most
+# PERF_SMOKE_MWORDS million minor words (about 90 with an
+# allocation-free pivot loop; 3,437 when every pivot boxed its floats).
+PERF_SMOKE_MWORDS := 200
+perf-smoke: | $(SMOKE_DIR)
+	dune build perfbench/main.exe
+	dune exec --no-build perfbench/main.exe -- --workload cwix-master \
+	  --seed 1 --seconds 1 --trace 1 > $(SMOKE_DIR)/perf-smoke.txt
+	tail -n 1 $(SMOKE_DIR)/perf-smoke.txt | grep -q '"correct":true'
+	tail -n 1 $(SMOKE_DIR)/perf-smoke.txt \
+	  | grep -o '"mip.minor_mwords":{"value":[-+.0-9eE]*' | cut -d: -f3 \
+	  | awk -v max=$(PERF_SMOKE_MWORDS) \
+	    '{ n++; printf "perf-smoke: mip.minor_mwords %.1f (max %d)\n", $$1, max; \
+	       if ($$1 > max) bad = 1 } \
+	     END { if (n != 1 || bad) { print "perf-smoke: failed"; exit 1 } }'
+
 # Relative headroom for the benchmark regression gate.  50% absorbs
 # ordinary same-machine jitter; CI overrides this upward because the
 # committed baseline was recorded on a different machine.
@@ -153,11 +171,11 @@ BENCH_TOLERANCE ?= 50
 
 # Tier-1 verification: full build, both lint stages (syntactic
 # pre-build signal, then the deep typedtree stage over the fresh cmts),
-# the single-JSON-writer and environment-read guards, the test suite, the monitor/explain/doctor determinism smokes, the
-# offline-ablation smoke, a
-# smoke run of the micro-benchmarks (exercises the parallel sweep at
-# jobs 1 and 4), and the regression gate against the committed
-# baseline.
+# the single-JSON-writer and environment-read guards, the test suite,
+# the monitor/explain/doctor determinism smokes, the offline-ablation
+# smoke, the pivot-path allocation smoke, a smoke run of the
+# micro-benchmarks (exercises the parallel sweep at jobs 1 and 4), and
+# the regression gate against the committed baseline.
 verify:
 	$(MAKE) lint
 	dune build
@@ -169,6 +187,7 @@ verify:
 	$(MAKE) explain-smoke
 	$(MAKE) doctor-smoke
 	$(MAKE) ablation-smoke
+	$(MAKE) perf-smoke
 	dune exec bench/main.exe -- --micro
 	dune exec bench/main.exe -- --gate --repeat 3 --jobs 2 \
 	  --check BENCH_PR8.json --tolerance $(BENCH_TOLERANCE)

@@ -1,4 +1,5 @@
 module Trace = Flexile_util.Trace
+module Float_cmp = Flexile_util.Float_cmp
 
 type status = Optimal | Feasible | Infeasible | Limit
 
@@ -62,6 +63,12 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
   let nodes = ref 0 in
   let stack = ref [ { fixings = []; parent_bound = neg_infinity } ] in
   let hit_limit = ref false in
+  (* smallest parent bound of the nodes whose LP neither solved nor
+     proved infeasibility (unbounded, iteration limit): their subtrees
+     stay unexplored, so the bound must not rise above it.  A processed
+     node's parent bound is always below [infinity], so [infinity]
+     here means no node was dropped. *)
+  let dropped_bound = ref infinity in
   let frontier_bound () =
     List.fold_left
       (fun acc nd -> Float.min acc nd.parent_bound)
@@ -115,11 +122,14 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
                nd.fixings;
              match lp.Simplex.status with
              | Simplex.Infeasible -> ()
-             | Simplex.Unbounded ->
-                 (* with binary fixings and a bounded relaxation this
-                    signals numerical trouble; drop the node *)
-                 ()
-             | Simplex.Iteration_limit -> hit_limit := true
+             | Simplex.Unbounded | Simplex.Iteration_limit ->
+                 (* an unbounded relaxation (an unbounded MIP, or
+                    numerical trouble) or an unfinished LP proves
+                    nothing about the subtree: drop the node but keep
+                    its bound, so the search cannot claim optimality
+                    or infeasibility it has not shown *)
+                 hit_limit := true;
+                 dropped_bound := Float.min !dropped_bound nd.parent_bound
              | Simplex.Optimal ->
                  if lp.Simplex.obj < !incumbent_obj -. options.gap_tol then begin
                    if List.length nd.fixings = 0 then
@@ -156,10 +166,10 @@ let solve ?(options = default_options) ?heuristic ~binaries model =
            end)
      done
    with Exit -> ());
-  let frontier = frontier_bound () in
+  let frontier = Float.min (frontier_bound ()) !dropped_bound in
   restore ();
   let bound =
-    if !stack = [] then
+    if !stack = [] && Float_cmp.exactly_equal !dropped_bound infinity then
       (* search exhausted: the incumbent (if any) is optimal *)
       if !incumbent = None then infinity else !incumbent_obj
     else Float.max !best_proven (Float.min frontier !incumbent_obj)

@@ -6,13 +6,22 @@
     The search is depth-first with best-bound pruning, an optional
     rounding heuristic for incumbents, and node/time limits.  When a
     limit is hit the best incumbent is returned together with the best
-    proven lower bound, so callers can report an optimality gap. *)
+    proven lower bound, so callers can report an optimality gap.
+
+    A node whose LP relaxation ends unbounded or at its iteration limit
+    leaves its subtree unexplored: the search counts it like a limit,
+    and the node's parent bound stays in [bound].  An unbounded MIP
+    therefore returns [Limit] (or [Feasible]) with [bound =
+    neg_infinity], never [Infeasible]. *)
 
 type status =
   | Optimal  (** incumbent proven optimal (within [gap_tol]) *)
-  | Feasible  (** limit hit with an incumbent available *)
-  | Infeasible
-  | Limit  (** limit hit with no incumbent *)
+  | Feasible
+      (** limit hit, or a subtree left unexplored, with an incumbent
+          available *)
+  | Infeasible  (** every subtree explored, none feasible *)
+  | Limit
+      (** limit hit, or a subtree left unexplored, with no incumbent *)
 
 type result = {
   status : status;
@@ -20,7 +29,7 @@ type result = {
   x : float array;  (** incumbent primal values *)
   bound : float;  (** best proven lower bound *)
   nodes : int;
-  gap : float;  (** [obj - bound], 0. when optimal *)
+  gap : float;  (** [obj - bound], 0. when the search is exhausted *)
 }
 
 type options = {

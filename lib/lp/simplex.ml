@@ -29,8 +29,14 @@ let src = Logs.Src.create "flexile.lp" ~doc:"LP solver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 module Trace = Flexile_util.Trace
-module Float_cmp = Flexile_util.Float_cmp
 module Basis = Sparse.Basis
+module Svec = Sparse.Svec
+
+(* [Flexile_util.nonzero], inlinable.  The dev profile
+   compiles every module [-opaque], so a call into another module boxes
+   each float argument; the pivot path keeps its zero tests local
+   (DESIGN.md section 11). *)
+let[@inline] nonzero x = not (Float.equal x 0.)
 
 (* Probes are per-solve or per-refactorization, never per-pivot: with
    tracing disabled each costs one branch, with it enabled one
@@ -94,6 +100,12 @@ type t = {
   vstat : int array;
   bas : int array; (* length m *)
   basis : Basis.t;
+  (* the basis columns collected for [Basis.factor], CSC by position;
+     the entry arrays start at nnz(A) + m, enough for any basis of
+     distinct columns, and grow only for a basis that repeats one *)
+  bcol_start : int array; (* length m+1 *)
+  mutable bcol_idx : int array;
+  mutable bcol_val : float array;
   xb : float array;
   xn : float array; (* bound value of each nonbasic variable *)
   mutable last_status : status option;
@@ -116,6 +128,15 @@ type t = {
   sec_size : int; (* partial-pricing section length *)
   nsec : int;
   mutable psec : int; (* cyclic pricing cursor *)
+  (* pivot choice written by the pricing and ratio-test kernels; the
+     floats sit in a preallocated array, not in mutable float fields,
+     so the stores never box *)
+  mutable enter : int; (* entering column, -1 = none *)
+  mutable leave : int; (* leaving basis position, -1 = none *)
+  mutable leave_to_up : bool; (* the leaving variable goes to its upper bound *)
+  pick : float array;
+      (* 0: entering direction (primal) or pivot-row entry (dual);
+         1: pricing score, then step length (primal) or dual ratio *)
   (* numerical health observatory (DESIGN.md section 15) *)
   health : Health.state;
   mutable hphase : int; (* phase_setup/_primal1/_primal2/_dual *)
@@ -186,6 +207,9 @@ let create ?eta_limit ?thresholds model =
     vstat = Array.make ntot at_lower;
     bas = Array.make m 0;
     basis = Basis.create ?eta_limit m;
+    bcol_start = Array.make (m + 1) 0;
+    bcol_idx = Array.make (nnz + m + 1) 0;
+    bcol_val = Array.make (nnz + m + 1) 0.;
     xb = Array.make m 0.;
     xn = Array.make ntot 0.;
     last_status = None;
@@ -203,6 +227,10 @@ let create ?eta_limit ?thresholds model =
     sec_size;
     nsec;
     psec = 0;
+    enter = -1;
+    leave = -1;
+    leave_to_up = false;
+    pick = Array.make 2 0.;
     health = Health.make ?thresholds m;
     hphase = phase_setup;
     hiter = 0;
@@ -235,6 +263,9 @@ let create ?eta_limit ?thresholds model =
 
 let make ?eta_limit model = create ?eta_limit model
 
+(* Row of the unit column [j >= n] (a slack or an artificial). *)
+let unit_row st j = if j < st.n + st.m then j - st.n else j - st.n - st.m
+
 (* Iterate over the (row, coefficient) entries of column [j]. *)
 let col_iter st j f =
   if j < st.n then begin
@@ -243,21 +274,39 @@ let col_iter st j f =
       f c.Lp_model.row_idx.(k) c.Lp_model.values.(k)
     done
   end
-  else begin
-    let i = if j < st.n + st.m then j - st.n else j - st.n - st.m in
-    f i 1.0
-  end
+  else f (unit_row st j) 1.0
+
+(* The column kernels below walk the CSC arrays directly instead of
+   going through [col_iter], whose callback boxes every float it is
+   handed.  Each keeps [col_iter]'s arithmetic exactly, down to the
+   [0. +. y_i *. 1.0] of a unit column in [col_dot] (which maps -0. to
+   +0.). *)
 
 (* Dot of a dense m-vector with column j. *)
 let col_dot st y j =
-  let s = ref 0. in
-  col_iter st j (fun i a -> s := !s +. (y.(i) *. a));
-  !s
+  if j < st.n then begin
+    let c = st.csc in
+    let s = ref 0. in
+    for k = c.Lp_model.col_start.(j) to c.Lp_model.col_start.(j + 1) - 1 do
+      s := !s +. (y.(c.Lp_model.row_idx.(k)) *. c.Lp_model.values.(k))
+    done;
+    !s
+  end
+  else 0. +. (y.(unit_row st j) *. 1.0)
 
 (* w := B^-1 A_j (FTRAN through the factors + eta file). *)
 let ftran st j w =
   Array.fill w 0 st.m 0.;
-  col_iter st j (fun r a -> w.(r) <- w.(r) +. a);
+  (if j < st.n then begin
+     let c = st.csc in
+     for k = c.Lp_model.col_start.(j) to c.Lp_model.col_start.(j + 1) - 1 do
+       let r = c.Lp_model.row_idx.(k) in
+       w.(r) <- w.(r) +. c.Lp_model.values.(k)
+     done
+   end
+   else
+     let r = unit_row st j in
+     w.(r) <- w.(r) +. 1.0);
   Basis.ftran st.basis w
 
 (* y := costs_B B^-1 (BTRAN). *)
@@ -274,27 +323,33 @@ let[@lint.noalloc] btran st costs y =
    of all [ntot] columns is what makes a pivot cost proportional to
    the pivot row's fill. *)
 let[@lint.noalloc] scatter_alpha st rho =
-  let sv = st.asv in
-  Sparse.Svec.clear sv;
-  for i = 0 to st.m - 1 do
-    let ri = rho.(i) in
-    if Float_cmp.nonzero ri then begin
-      for c = st.row_start.(i) to st.row_start.(i + 1) - 1 do
-        Sparse.Svec.add sv st.row_col.(c) (ri *. st.row_val.(c))
-      done;
-      Sparse.Svec.add sv (st.n + i) ri;
-      Sparse.Svec.add sv (st.n + st.m + i) ri
-    end
+  Svec.scatter_rows st.asv rho ~n:st.n ~m:st.m ~row_start:st.row_start
+    ~row_col:st.row_col ~row_val:st.row_val
+
+(* bt := b - sum_{nonbasic j} A_j xn_j, the row-space right-hand side
+   the basic values solve against. *)
+let nonbasic_rhs st =
+  let bt = st.bt in
+  Array.blit st.b 0 bt 0 st.m;
+  for j = 0 to st.ntot - 1 do
+    let xj = st.xn.(j) in
+    if st.vstat.(j) <> basic && nonzero xj then
+      if j < st.n then begin
+        let c = st.csc in
+        for k = c.Lp_model.col_start.(j) to c.Lp_model.col_start.(j + 1) - 1 do
+          let i = c.Lp_model.row_idx.(k) in
+          bt.(i) <- bt.(i) -. (c.Lp_model.values.(k) *. xj)
+        done
+      end
+      else
+        let i = unit_row st j in
+        bt.(i) <- bt.(i) -. (1.0 *. xj)
   done
 
 (* Recompute basic values from scratch:
    xb = B^-1 (b - sum_{nonbasic j} A_j xn_j). *)
 let recompute_xb st =
-  Array.blit st.b 0 st.bt 0 st.m;
-  for j = 0 to st.ntot - 1 do
-    if st.vstat.(j) <> basic && Float_cmp.nonzero st.xn.(j) then
-      col_iter st j (fun i a -> st.bt.(i) <- st.bt.(i) -. (a *. st.xn.(j)))
-  done;
+  nonbasic_rhs st;
   Basis.ftran st.basis st.bt;
   Array.blit st.bt 0 st.xb 0 st.m
 
@@ -320,19 +375,48 @@ let eta_epoch_of st =
 
 let health_sample st ~kind ~eta ~patched =
   if Health.sample_due st.health then begin
-  (* row-space b~ = b - N x_N into the scratch [bt] (recompute_xb uses
-     the same accumulation but immediately FTRANs it away) *)
-  Array.blit st.b 0 st.bt 0 st.m;
-  for j = 0 to st.ntot - 1 do
-    if st.vstat.(j) <> basic && Float_cmp.nonzero st.xn.(j) then
-      col_iter st j (fun i a -> st.bt.(i) <- st.bt.(i) -. (a *. st.xn.(j)))
-  done;
+  (* row-space b~ = b - N x_N into the scratch [bt] (recompute_xb
+     immediately FTRANs it away) *)
+  nonbasic_rhs st;
   Health.sample st.health ~basis:st.basis ~kind ~phase:st.hphase
     ~iteration:st.hiter
     ~col:(fun pos f -> col_iter st st.bas.(pos) f)
     ~cb:(fun pos -> st.cost.(st.bas.(pos)))
     ~btilde:st.bt ~xb:st.xb ~eta ~patched
   end
+
+(* Collect the columns of the recorded basis into [bcol_*]. *)
+let collect_basis st =
+  let c = st.csc in
+  let len = ref 0 in
+  for pos = 0 to st.m - 1 do
+    st.bcol_start.(pos) <- !len;
+    let j = st.bas.(pos) in
+    let cnt =
+      if j < st.n then c.Lp_model.col_start.(j + 1) - c.Lp_model.col_start.(j)
+      else 1
+    in
+    if !len + cnt > Array.length st.bcol_idx then begin
+      (* only a basis that repeats a column, e.g. a hand-edited dump *)
+      let idx = Array.make (2 * (!len + cnt)) 0 in
+      let vals = Array.make (2 * (!len + cnt)) 0. in
+      Array.blit st.bcol_idx 0 idx 0 !len;
+      Array.blit st.bcol_val 0 vals 0 !len;
+      st.bcol_idx <- idx;
+      st.bcol_val <- vals
+    end;
+    if j < st.n then begin
+      let k0 = c.Lp_model.col_start.(j) in
+      Array.blit c.Lp_model.row_idx k0 st.bcol_idx !len cnt;
+      Array.blit c.Lp_model.values k0 st.bcol_val !len cnt
+    end
+    else begin
+      st.bcol_idx.(!len) <- unit_row st j;
+      st.bcol_val.(!len) <- 1.0
+    end;
+    len := !len + cnt
+  done;
+  st.bcol_start.(st.m) <- !len
 
 (* Rebuild the LU factorization of the recorded basis.  A singular or
    numerically dependent basis is not an error: [Basis.factor] patches
@@ -346,7 +430,9 @@ let refactorize st =
   let eta = if active then eta_epoch_of st else Health.empty_epoch in
   let patched =
     Trace.with_span t_factor @@ fun () ->
-    Basis.factor st.basis ~col:(fun pos f -> col_iter st st.bas.(pos) f)
+    collect_basis st;
+    Basis.factor st.basis ~col_start:st.bcol_start ~row_idx:st.bcol_idx
+      ~values:st.bcol_val
   in
   List.iter
     (fun (pos, row) ->
@@ -391,6 +477,92 @@ let update_basis st r =
 
 type primal_result = P_optimal | P_unbounded | P_iter_limit
 
+(* Offer column [j] as the entering candidate, moving in direction
+   [dir] with improvement rate [score]: Bland keeps the smallest
+   improving index, devex the steepest [score^2 / gamma_j] (steepest
+   reduced cost in the reference frame).  Inlined into [price_range],
+   so its float arguments never box. *)
+let[@inline] offer st ~bland j dir score =
+  if score > opt_tol then
+    if bland then begin
+      if st.enter = -1 || j < st.enter then begin
+        st.enter <- j;
+        st.pick.(0) <- dir;
+        st.pick.(1) <- score
+      end
+    end
+    else begin
+      let dscore = score *. score /. st.gamma.(j) in
+      if dscore > st.pick.(1) then begin
+        st.enter <- j;
+        st.pick.(0) <- dir;
+        st.pick.(1) <- dscore
+      end
+    end
+
+(* Primal pricing over columns [lo .. hi] with the reduced costs in
+   [st.d]: improves on the candidate in [st.enter] / [st.pick], which
+   the caller resets before the first range of an iteration. *)
+let[@lint.noalloc] price_range st ~bland lo hi =
+  for j = lo to hi do
+    let stt = st.vstat.(j) in
+    if stt <> basic && st.lo.(j) < st.up.(j) then begin
+      let dj = st.d.(j) in
+      if stt = at_lower then offer st ~bland j 1. (-.dj)
+      else if stt = at_upper then offer st ~bland j (-1.) dj
+      else begin
+        (* free: move in the improving direction *)
+        offer st ~bland j 1. (-.dj);
+        offer st ~bland j (-1.) dj
+      end
+    end
+  done
+
+(* Primal ratio test for the entering column image [st.w] moving in
+   direction [st.pick.(0)]: sets [st.leave] (-1 = no basic variable
+   blocks), [st.leave_to_up] and the step [st.pick.(1)].
+   Basic value i changes at rate (-. s *. w.(i)) per unit step.  Ties
+   are normally broken toward the largest pivot magnitude (stability);
+   under the Bland fallback they must be broken by smallest leaving
+   variable index instead — Bland's rule only guarantees termination
+   when BOTH the entering and the leaving choice use the smallest-index
+   rule. *)
+let[@lint.noalloc] ratio_test st ~bland =
+  let w = st.w and s = st.pick.(0) in
+  let tmax = ref infinity in
+  let leave = ref (-1) in
+  let to_up = ref false in
+  for i = 0 to st.m - 1 do
+    let rate = -.s *. w.(i) in
+    let up = rate > pivot_tol in
+    let q = st.bas.(i) in
+    if
+      (rate < -.pivot_tol && st.lo.(q) > neg_infinity)
+      || (up && st.up.(q) < infinity)
+    then begin
+      let ti =
+        if up then (st.up.(q) -. st.xb.(i)) /. rate
+        else (st.xb.(i) -. st.lo.(q)) /. -.rate
+      in
+      let ti = if ti < 0. then 0. else ti in
+      if
+        ti < !tmax -. 1e-12
+        || ti < !tmax +. 1e-12
+           && (!leave = -1
+              ||
+              if bland then q < st.bas.(!leave)
+              else Float.abs w.(i) > Float.abs w.(!leave))
+      then begin
+        tmax := ti;
+        leave := i;
+        to_up := up
+      end
+    end
+  done;
+  st.leave <- !leave;
+  st.leave_to_up <- !to_up;
+  st.pick.(1) <- !tmax
+
 let primal_loop st costs ~iter_limit iter_count =
   let m = st.m in
   let y = st.y and w = st.w and rho = st.rho in
@@ -427,61 +599,27 @@ let primal_loop st costs ~iter_limit iter_count =
       let bland = !degen > degen_threshold in
       if bland then incr bland_iters;
       (* --- pricing: choose entering variable --- *)
-      let enter = ref (-1) and enter_dir = ref 1. and best = ref 0. in
-      let consider j dj =
-        let stt = st.vstat.(j) in
-        if stt <> basic && st.lo.(j) < st.up.(j) then begin
-          let try_dir dir score =
-            if score > opt_tol then
-              if bland then begin
-                if !enter = -1 || j < !enter then begin
-                  enter := j;
-                  enter_dir := dir;
-                  best := score
-                end
-              end
-              else begin
-                (* devex: steepest reduced cost in the reference frame *)
-                let dscore = score *. score /. gamma.(j) in
-                if dscore > !best then begin
-                  enter := j;
-                  enter_dir := dir;
-                  best := dscore
-                end
-              end
-          in
-          if stt = at_lower then try_dir 1. (-.dj)
-          else if stt = at_upper then try_dir (-1.) dj
-          else begin
-            (* free: move in the improving direction *)
-            try_dir 1. (-.dj);
-            try_dir (-1.) dj
-          end
-        end
-      in
-      if bland then
-        for j = 0 to st.ntot - 1 do
-          if st.vstat.(j) <> basic then consider j d.(j)
-        done
+      st.enter <- -1;
+      st.pick.(0) <- 1.;
+      st.pick.(1) <- 0.;
+      if bland then price_range st ~bland 0 (st.ntot - 1)
       else begin
         (* partial pricing: cyclic scan of static sections, stopping at
            the first section that yields a candidate *)
         let scanned = ref 0 in
-        while !enter = -1 && !scanned < st.nsec do
+        while st.enter = -1 && !scanned < st.nsec do
           let s0 = (st.psec + !scanned) mod st.nsec in
-          let jhi = min st.ntot ((s0 + 1) * st.sec_size) - 1 in
-          for j = s0 * st.sec_size to jhi do
-            if st.vstat.(j) <> basic then consider j d.(j)
-          done;
+          price_range st ~bland (s0 * st.sec_size)
+            (min st.ntot ((s0 + 1) * st.sec_size) - 1);
           (* advance the cursor past the section that produced the
              candidate: sticking to a section while it keeps yielding
              (degenerate) candidates starves the rest of the matrix and
              stalls phase 1 on massively degenerate vertices *)
-          if !enter <> -1 then st.psec <- (s0 + 1) mod st.nsec;
+          if st.enter <> -1 then st.psec <- (s0 + 1) mod st.nsec;
           incr scanned
         done
       end;
-      if !enter = -1 then begin
+      if st.enter = -1 then begin
         (* confirm with exact reduced costs before declaring optimal *)
         recompute_d ();
         let confirm = ref (-1) in
@@ -499,54 +637,12 @@ let primal_loop st costs ~iter_limit iter_count =
         if !confirm = -1 then result := Some P_optimal
       end
       else begin
-        let j = !enter and s = !enter_dir in
+        let j = st.enter and s = st.pick.(0) in
         ftran st j w;
-        (* --- ratio test --- *)
-        (* Basic value i changes at rate (-. s *. w.(i)) per unit step.
-           Ties are normally broken toward the largest pivot magnitude
-           (stability); under the Bland fallback they must be broken by
-           smallest leaving variable index instead — Bland's rule only
-           guarantees termination when BOTH the entering and the leaving
-           choice use the smallest-index rule. *)
-        let tmax = ref infinity and leave = ref (-1) and leave_to_up = ref false in
-        let better i ti =
-          ti < !tmax -. 1e-12
-          || ti < !tmax +. 1e-12
-             && (!leave = -1
-                ||
-                if bland then st.bas.(i) < st.bas.(!leave)
-                else Float.abs w.(i) > Float.abs w.(!leave))
-        in
-        for i = 0 to m - 1 do
-          let rate = -.s *. w.(i) in
-          if rate < -.pivot_tol then begin
-            let lb = st.lo.(st.bas.(i)) in
-            if lb > neg_infinity then begin
-              let ti = (st.xb.(i) -. lb) /. -.rate in
-              let ti = if ti < 0. then 0. else ti in
-              if better i ti then begin
-                tmax := ti;
-                leave := i;
-                leave_to_up := false
-              end
-            end
-          end
-          else if rate > pivot_tol then begin
-            let ub = st.up.(st.bas.(i)) in
-            if ub < infinity then begin
-              let ti = (ub -. st.xb.(i)) /. rate in
-              let ti = if ti < 0. then 0. else ti in
-              if better i ti then begin
-                tmax := ti;
-                leave := i;
-                leave_to_up := true
-              end
-            end
-          end
-        done;
+        ratio_test st ~bland;
         (* Bound-flip possibility for the entering variable itself. *)
         let range = st.up.(j) -. st.lo.(j) in
-        if range < !tmax then begin
+        if range < st.pick.(1) then begin
           (* flip: move to the opposite bound, no basis change *)
           let t = range in
           for i = 0 to m - 1 do
@@ -562,9 +658,9 @@ let primal_loop st costs ~iter_limit iter_count =
           end;
           degen := 0
         end
-        else if !leave = -1 then result := Some P_unbounded
+        else if st.leave = -1 then result := Some P_unbounded
         else begin
-          let r = !leave and t = !tmax in
+          let r = st.leave and t = st.pick.(1) in
           if t <= 1e-10 then begin
             incr degen;
             if !degen > !max_run then max_run := !degen;
@@ -578,8 +674,8 @@ let primal_loop st costs ~iter_limit iter_count =
             if i <> r then st.xb.(i) <- st.xb.(i) -. (s *. w.(i) *. t)
           done;
           let q = st.bas.(r) in
-          st.vstat.(q) <- (if !leave_to_up then at_upper else at_lower);
-          st.xn.(q) <- (if !leave_to_up then st.up.(q) else st.lo.(q));
+          st.vstat.(q) <- (if st.leave_to_up then at_upper else at_lower);
+          st.xn.(q) <- (if st.leave_to_up then st.up.(q) else st.lo.(q));
           (* incremental dual/devex update with the pre-pivot row r of
              B^-1: d'_k = d_k - (d_j / w_r) (rho . A_k) and
              gamma'_k = max(gamma_k, (alpha_k / w_r)^2 gamma_j) *)
@@ -597,15 +693,18 @@ let primal_loop st costs ~iter_limit iter_count =
           end
           else begin
             scatter_alpha st rho;
-            Sparse.Svec.iter st.asv (fun k alpha_k ->
-                if st.vstat.(k) <> basic && k <> q
-                   && Float_cmp.nonzero alpha_k
-                then begin
-                  if Float_cmp.nonzero theta then
-                    d.(k) <- d.(k) -. (theta *. alpha_k);
-                  let cand = alpha_k *. alpha_k *. gscale in
-                  if cand > gamma.(k) then gamma.(k) <- cand
-                end);
+            (* walk the pivot-row pattern by index: a closure over it
+               would box [theta], [gscale] and every entry *)
+            let pat = Svec.pattern st.asv and alpha = Svec.values st.asv in
+            for p = 0 to Svec.nnz st.asv - 1 do
+              let k = pat.(p) in
+              let alpha_k = alpha.(k) in
+              if st.vstat.(k) <> basic && k <> q && nonzero alpha_k then begin
+                if nonzero theta then d.(k) <- d.(k) -. (theta *. alpha_k);
+                let cand = alpha_k *. alpha_k *. gscale in
+                if cand > gamma.(k) then gamma.(k) <- cand
+              end
+            done;
             d.(q) <- -.theta;
             gamma.(q) <- Float.max gscale 1.;
             d.(j) <- 0.
@@ -711,7 +810,7 @@ let phase1_obj st costs =
   let s = ref 0. in
   for i = 0 to st.m - 1 do
     let c = costs.(st.bas.(i)) in
-    if Float_cmp.nonzero c then s := !s +. (c *. st.xb.(i))
+    if nonzero c then s := !s +. (c *. st.xb.(i))
   done;
   !s
 
@@ -731,7 +830,7 @@ let extract_solution st ~status ~iterations =
   for j = 0 to n - 1 do
     let d = st.cost.(j) -. col_dot st y j in
     reduced.(j) <- d;
-    if st.vstat.(j) <> basic && Float_cmp.nonzero st.xn.(j) then
+    if st.vstat.(j) <> basic && nonzero st.xn.(j) then
       bound_term := !bound_term +. (d *. st.xn.(j))
   done;
   let obj = ref 0. in
@@ -822,6 +921,53 @@ let cold_solve ?iter_limit st =
 
 type dual_result = D_optimal | D_infeasible | D_iter_limit
 
+(* Dual ratio test over the pivot-row pattern in [st.asv] for a leaving
+   variable that moves up to its lower bound ([above] false) or down to
+   its upper bound: sets [st.enter] (-1 = the row proves primal
+   infeasibility), the pivot-row entry [st.pick.(0)] and the ratio
+   [st.pick.(1)]. *)
+let[@lint.noalloc] dual_ratio_test st ~above ~bland =
+  let d = st.d and pick = st.pick in
+  let pat = Svec.pattern st.asv and av = Svec.values st.asv in
+  st.enter <- -1;
+  pick.(0) <- 0.;
+  pick.(1) <- infinity;
+  for p = 0 to Svec.nnz st.asv - 1 do
+    let j = pat.(p) in
+    let alpha = av.(j) in
+    let stt = st.vstat.(j) in
+    if stt <> basic && st.lo.(j) < st.up.(j) && Float.abs alpha > pivot_tol
+    then begin
+      let candidate =
+        if above then
+          (stt = at_lower && alpha > 0.)
+          || (stt = at_upper && alpha < 0.)
+          || stt = free
+        else
+          (stt = at_lower && alpha < 0.)
+          || (stt = at_upper && alpha > 0.)
+          || stt = free
+      in
+      if candidate then begin
+        let ratio = Float.abs d.(j) /. Float.abs alpha in
+        (* Bland anti-cycling still honors the dual ratio test: among
+           (near-)minimal ratios take the smallest index, otherwise
+           dual feasibility would be destroyed. *)
+        if
+          ratio < pick.(1) -. 1e-12
+          || ratio < pick.(1) +. 1e-12
+             &&
+             if bland then st.enter = -1 || j < st.enter
+             else Float.abs alpha > Float.abs pick.(0)
+        then begin
+          st.enter <- j;
+          pick.(1) <- Float.min ratio pick.(1);
+          pick.(0) <- alpha
+        end
+      end
+    end
+  done
+
 let dual_loop st ~iter_limit iters =
   let m = st.m in
   let rho = st.rho and w = st.w and y = st.y in
@@ -877,46 +1023,11 @@ let dual_loop st ~iter_limit iters =
         scatter_alpha st rho;
         let bland = !zero_steps > degen_threshold in
         if bland then incr bland_iters;
-        (* --- entering: dual ratio test --- *)
-        let enter = ref (-1) and best_ratio = ref infinity and best_alpha = ref 0. in
-        Sparse.Svec.iter st.asv (fun j alpha ->
-            let stt = st.vstat.(j) in
-            if stt <> basic && st.lo.(j) < st.up.(j)
-               && Float.abs alpha > pivot_tol
-            then begin
-              let candidate =
-                if !above then
-                  (stt = at_lower && alpha > 0.)
-                  || (stt = at_upper && alpha < 0.)
-                  || stt = free
-                else
-                  (stt = at_lower && alpha < 0.)
-                  || (stt = at_upper && alpha > 0.)
-                  || stt = free
-              in
-              if candidate then begin
-                let ratio = Float.abs d.(j) /. Float.abs alpha in
-                (* Bland anti-cycling still honors the dual ratio test:
-                   among (near-)minimal ratios take the smallest index,
-                   otherwise dual feasibility would be destroyed. *)
-                let better =
-                  ratio < !best_ratio -. 1e-12
-                  || ratio < !best_ratio +. 1e-12
-                     &&
-                     if bland then !enter = -1 || j < !enter
-                     else Float.abs alpha > Float.abs !best_alpha
-                in
-                if better then begin
-                  enter := j;
-                  best_ratio := Float.min ratio !best_ratio;
-                  best_alpha := alpha
-                end
-              end
-            end);
-        if !enter = -1 then result := Some D_infeasible
+        dual_ratio_test st ~above:!above ~bland;
+        if st.enter = -1 then result := Some D_infeasible
         else begin
-          let j = !enter in
-          if !best_ratio <= 1e-10 then begin
+          let j = st.enter in
+          if st.pick.(1) <= 1e-10 then begin
             incr zero_steps;
             if !zero_steps > !max_run then max_run := !zero_steps;
             if !zero_steps = stall_lim then
@@ -924,7 +1035,7 @@ let dual_loop st ~iter_limit iters =
                 ~run:!zero_steps
           end
           else zero_steps := 0;
-          let alpha_j = !best_alpha in
+          let alpha_j = st.pick.(0) in
           let q = st.bas.(r) in
           let target = if !above then st.up.(q) else st.lo.(q) in
           let delta = (st.xb.(r) -. target) /. alpha_j in
@@ -945,10 +1056,14 @@ let dual_loop st ~iter_limit iters =
           end
           else begin
             (* update duals: d'_k = d_k - (d_j/alpha_j) * alpha_k *)
-            if Float_cmp.nonzero theta then
-              Sparse.Svec.iter st.asv (fun k alpha_k ->
-                  if st.vstat.(k) <> basic then
-                    d.(k) <- d.(k) -. (theta *. alpha_k));
+            if nonzero theta then begin
+              let pat = Svec.pattern st.asv and alpha = Svec.values st.asv in
+              for p = 0 to Svec.nnz st.asv - 1 do
+                let k = pat.(p) in
+                if st.vstat.(k) <> basic then
+                  d.(k) <- d.(k) -. (theta *. alpha.(k))
+              done
+            end;
             d.(q) <- -.theta;
             d.(j) <- 0.
           end

@@ -7,9 +7,18 @@
    hash-bucket order or wall time.  The workspaces are intentionally
    mutable and reused across calls so that the simplex pivot loop
    performs no per-pivot allocation (the eta arena grows by amortized
-   doubling, which is the only allocation on the pivot path). *)
+   doubling, which is the only allocation on the pivot path).
 
-module Float_cmp = Flexile_util.Float_cmp
+   The dev profile compiles every module [-opaque], so a call into
+   another module is never inlined and boxes each float argument and
+   result.  The per-element kernels here therefore call no float-taking
+   function outside this file (DESIGN.md section 11). *)
+
+(* [Flexile_util.Float_cmp.nonzero], inlinable: exact IEEE inequality
+   with zero (-0. counts as zero, nan as nonzero).  [Float.equal] is
+   stdlib, which is not compiled [-opaque], so this compiles to an
+   inline float compare. *)
+let[@inline] nonzero x = not (Float.equal x 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse vector workspace                                             *)
@@ -44,7 +53,7 @@ module Svec = struct
     done;
     t.nnz <- 0
 
-  let[@lint.noalloc] add t i v =
+  let[@inline][@lint.noalloc] add t i v =
     if not t.mark.(i) then begin
       t.mark.(i) <- true;
       t.idx.(t.nnz) <- i;
@@ -55,10 +64,23 @@ module Svec = struct
   let[@lint.noalloc] get t i = t.vals.(i)
   let[@lint.noalloc] mem t i = t.mark.(i)
 
-  let iter t f =
-    for k = 0 to t.nnz - 1 do
-      let i = t.idx.(k) in
-      f i t.vals.(i)
+  let pattern t = t.idx
+  let values t = t.vals
+
+  (* t := [S | I | I]^T rho, S given row-wise; see the interface.
+     Lives here so that [add] inlines: this is the simplex pivot-row
+     product. *)
+  let[@lint.noalloc] scatter_rows t rho ~n ~m ~row_start ~row_col ~row_val =
+    clear t;
+    for i = 0 to m - 1 do
+      let ri = rho.(i) in
+      if nonzero ri then begin
+        for c = row_start.(i) to row_start.(i + 1) - 1 do
+          add t row_col.(c) (ri *. row_val.(c))
+        done;
+        add t (n + i) ri;
+        add t (n + m + i) ri
+      end
     done
 
   let to_dense t = Array.copy t.vals
@@ -216,20 +238,6 @@ module Basis = struct
 
   (* ---- factorization ---- *)
 
-  let push_l t row v =
-    t.l_idx <- grow_i t.l_idx (t.l_len + 1);
-    t.l_val <- grow_f t.l_val (t.l_len + 1);
-    t.l_idx.(t.l_len) <- row;
-    t.l_val.(t.l_len) <- v;
-    t.l_len <- t.l_len + 1
-
-  let push_u t step v =
-    t.u_idx <- grow_i t.u_idx (t.u_len + 1);
-    t.u_val <- grow_f t.u_val (t.u_len + 1);
-    t.u_idx.(t.u_len) <- step;
-    t.u_val.(t.u_len) <- v;
-    t.u_len <- t.u_len + 1
-
   (* Record step [k]: pivot [row] on basis position [pos] whose
      eliminated column is currently scattered in [t.ws] (empty for a
      patched unit column). *)
@@ -240,7 +248,7 @@ module Basis = struct
     t.step_of_pos.(pos) <- k;
     t.u_diag.(k) <- diag
 
-  let factor t ~col =
+  let factor t ~col_start ~row_idx ~values =
     let m = t.m in
     t.l_len <- 0;
     t.u_len <- 0;
@@ -257,20 +265,20 @@ module Basis = struct
     Array.fill t.step_of_row 0 m (-1);
     Array.fill t.step_of_pos 0 m (-1);
     Array.fill t.row_cnt 0 m 0;
-    (* collect the basis columns once (closure calls only here) *)
-    let len = ref 0 in
+    (* copy the basis columns: the health stats read them lazily, after
+       the caller may have reused its arrays *)
+    let len = col_start.(m) in
+    t.c_idx <- grow_i t.c_idx len;
+    t.c_val <- grow_f t.c_val len;
+    Array.blit col_start 0 t.c_start 0 (m + 1);
+    Array.blit row_idx 0 t.c_idx 0 len;
+    Array.blit values 0 t.c_val 0 len;
     for pos = 0 to m - 1 do
-      t.c_start.(pos) <- !len;
-      col pos (fun row v ->
-          t.c_idx <- grow_i t.c_idx (!len + 1);
-          t.c_val <- grow_f t.c_val (!len + 1);
-          t.c_idx.(!len) <- row;
-          t.c_val.(!len) <- v;
-          incr len;
-          t.row_cnt.(row) <- t.row_cnt.(row) + 1);
-      t.col_nnz.(pos) <- !len - t.c_start.(pos)
+      t.col_nnz.(pos) <- col_start.(pos + 1) - col_start.(pos)
     done;
-    t.c_start.(m) <- !len;
+    for k = 0 to len - 1 do
+      t.row_cnt.(row_idx.(k)) <- t.row_cnt.(row_idx.(k)) + 1
+    done;
     (* static Markowitz column order: ascending nonzero count, then
        position (unit columns first; deterministic) *)
     for pos = 0 to m - 1 do
@@ -280,9 +288,8 @@ module Basis = struct
       let c = compare t.col_nnz.(a) t.col_nnz.(b) in
       if c <> 0 then c else compare a b
     in
-    (let order = Array.sub t.order 0 m in
-     Array.sort cmp order;
-     Array.blit order 0 t.order 0 m);
+    (* [order] holds exactly [m] entries (one, unread, when m = 0) *)
+    Array.sort cmp t.order;
     let step = ref 0 in
     for o = 0 to m - 1 do
       let pos = t.order.(o) in
@@ -298,7 +305,7 @@ module Basis = struct
         let pr = t.prow.(s) in
         if Svec.mem ws pr then begin
           let x = Svec.get ws pr in
-          if Float_cmp.nonzero x then
+          if nonzero x then
             for c = t.l_start.(s) to t.l_start.(s + 1) - 1 do
               Svec.add ws t.l_idx.(c) (-.t.l_val.(c) *. x)
             done
@@ -307,11 +314,13 @@ module Basis = struct
       (* pivot selection: threshold partial pivoting with static
          row-degree merit, deterministic index tie-break *)
       let vmax = ref 0. in
-      Svec.iter ws (fun row v ->
-          if t.step_of_row.(row) < 0 then begin
-            let a = Float.abs v in
-            if a > !vmax then vmax := a
-          end);
+      for p = 0 to ws.Svec.nnz - 1 do
+        let row = ws.Svec.idx.(p) in
+        if t.step_of_row.(row) < 0 then begin
+          let a = Float.abs ws.Svec.vals.(row) in
+          if a > !vmax then vmax := a
+        end
+      done;
       if !vmax < abs_pivot_tol then begin
         (* numerically/structurally dependent column: defer, patch later *)
         t.deferred.(t.n_deferred) <- pos;
@@ -321,25 +330,45 @@ module Basis = struct
       else begin
         let acceptable = threshold *. !vmax in
         let prow = ref (-1) and pmerit = ref max_int in
-        Svec.iter ws (fun row v ->
-            if t.step_of_row.(row) < 0 && Float.abs v >= acceptable then begin
-              let merit = t.row_cnt.(row) in
-              if
-                merit < !pmerit || (merit = !pmerit && (!prow < 0 || row < !prow))
-              then begin
-                prow := row;
-                pmerit := merit
-              end
-            end);
+        for p = 0 to ws.Svec.nnz - 1 do
+          let row = ws.Svec.idx.(p) in
+          if t.step_of_row.(row) < 0 && Float.abs ws.Svec.vals.(row) >= acceptable
+          then begin
+            let merit = t.row_cnt.(row) in
+            if
+              merit < !pmerit || (merit = !pmerit && (!prow < 0 || row < !prow))
+            then begin
+              prow := row;
+              pmerit := merit
+            end
+          end
+        done;
         let row = !prow in
         let k = !step in
         let piv = Svec.get ws row in
         t.l_start.(k) <- t.l_len;
         t.u_start.(k) <- t.u_len;
-        Svec.iter ws (fun r v ->
-            if Float_cmp.nonzero v then
-              if t.step_of_row.(r) >= 0 then push_u t t.step_of_row.(r) v
-              else if r <> row then push_l t r (v /. piv));
+        (* reserve the step's worst case once, so the split below stores
+           straight into the arenas *)
+        t.l_idx <- grow_i t.l_idx (t.l_len + ws.Svec.nnz);
+        t.l_val <- grow_f t.l_val (t.l_len + ws.Svec.nnz);
+        t.u_idx <- grow_i t.u_idx (t.u_len + ws.Svec.nnz);
+        t.u_val <- grow_f t.u_val (t.u_len + ws.Svec.nnz);
+        for p = 0 to ws.Svec.nnz - 1 do
+          let r = ws.Svec.idx.(p) in
+          let v = ws.Svec.vals.(r) in
+          if nonzero v then
+            if t.step_of_row.(r) >= 0 then begin
+              t.u_idx.(t.u_len) <- t.step_of_row.(r);
+              t.u_val.(t.u_len) <- v;
+              t.u_len <- t.u_len + 1
+            end
+            else if r <> row then begin
+              t.l_idx.(t.l_len) <- r;
+              t.l_val.(t.l_len) <- v /. piv;
+              t.l_len <- t.l_len + 1
+            end
+        done;
         t.l_start.(k + 1) <- t.l_len;
         t.u_start.(k + 1) <- t.u_len;
         finish_step t k ~pos ~row ~diag:piv;
@@ -425,7 +454,7 @@ module Basis = struct
     for a = 0 to t.n_active - 1 do
       let s = t.active.(a) in
       let x = v.(t.prow.(s)) in
-      if Float_cmp.nonzero x then
+      if nonzero x then
         for c = t.l_start.(s) to t.l_start.(s + 1) - 1 do
           v.(t.l_idx.(c)) <- v.(t.l_idx.(c)) -. (t.l_val.(c) *. x)
         done
@@ -439,7 +468,7 @@ module Basis = struct
     for k = m - 1 downto 0 do
       let z = sv.(k) /. t.u_diag.(k) in
       sv.(k) <- z;
-      if Float_cmp.nonzero z then
+      if nonzero z then
         for c = t.u_start.(k) to t.u_start.(k + 1) - 1 do
           sv.(t.u_idx.(c)) <- sv.(t.u_idx.(c)) -. (t.u_val.(c) *. z)
         done
@@ -453,7 +482,7 @@ module Basis = struct
       let r = t.e_pos.(e) in
       let vr = v.(r) /. t.e_diag.(e) in
       v.(r) <- vr;
-      if Float_cmp.nonzero vr then
+      if nonzero vr then
         for c = t.e_start.(e) to t.e_start.(e + 1) - 1 do
           v.(t.e_idx.(c)) <- v.(t.e_idx.(c)) -. (t.e_val.(c) *. vr)
         done
@@ -517,12 +546,13 @@ module Basis = struct
       let wr = Float.abs w.(r) in
       let wmax = ref wr in
       let len = ref t.e_len in
+      (* reserve the worst case once instead of per stored entry *)
+      t.e_idx <- grow_i t.e_idx (t.e_len + t.m);
+      t.e_val <- grow_f t.e_val (t.e_len + t.m);
       for i = 0 to t.m - 1 do
-        if i <> r && Float_cmp.nonzero w.(i) then begin
+        if i <> r && nonzero w.(i) then begin
           let a = Float.abs w.(i) in
           if a > !wmax then wmax := a;
-          t.e_idx <- grow_i t.e_idx (!len + 1);
-          t.e_val <- grow_f t.e_val (!len + 1);
           t.e_idx.(!len) <- i;
           t.e_val.(!len) <- w.(i);
           incr len

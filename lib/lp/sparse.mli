@@ -30,8 +30,33 @@ module Svec : sig
   val get : t -> int -> float
   val mem : t -> int -> bool
 
-  val iter : t -> (int -> float -> unit) -> unit
-  (** Iterates the pattern in insertion order. *)
+  val pattern : t -> int array
+  (** The pattern buffer itself: entries [0 .. nnz t - 1] are the
+      touched indices in insertion order.  Iterate by index over it and
+      [values]: a callback would box every float it is handed.
+      Read-only. *)
+
+  val values : t -> float array
+  (** The dense value buffer itself ([dim t] entries, exactly [0.]
+      outside the pattern).  Read-only. *)
+
+  val scatter_rows :
+    t ->
+    float array ->
+    n:int ->
+    m:int ->
+    row_start:int array ->
+    row_col:int array ->
+    row_val:float array ->
+    unit
+  (** [scatter_rows t rho ~n ~m ~row_start ~row_col ~row_val] clears
+      [t] and accumulates [A^T rho] for the [m]-row matrix [[S | I | I]]:
+      [S] is given row-wise in CSR form (row [i] holds columns
+      [row_col.(c)] with values [row_val.(c)] for [c] in
+      [row_start.(i) .. row_start.(i+1) - 1], all below [n]) and the two
+      identity blocks start at columns [n] and [n + m].  Rows with
+      [rho.(i) = 0.] are skipped; the pattern follows row order.  [t]
+      must have dimension at least [n + 2m]. *)
 
   val to_dense : t -> float array
 end
@@ -49,11 +74,21 @@ module Basis : sig
 
   val dim : t -> int
 
-  val factor : t -> col:(int -> ((int -> float -> unit) -> unit)) -> (int * int) list
-  (** [factor t ~col] factorizes the basis whose column at position
-      [pos] is enumerated by [col pos f] (calling [f row value]).
-      Columns are ordered by a static Markowitz heuristic; rows by
-      threshold partial pivoting with deterministic tie-breaks.
+  val factor :
+    t ->
+    col_start:int array ->
+    row_idx:int array ->
+    values:float array ->
+    (int * int) list
+  (** [factor t ~col_start ~row_idx ~values] factorizes the basis whose
+      column at position [pos] holds the entries
+      [(row_idx.(k), values.(k))] for [k] in
+      [col_start.(pos) .. col_start.(pos+1) - 1] (CSC by position:
+      [col_start] has [m + 1] entries and starts at [0]).  The entries are copied, so the
+      caller may reuse its arrays; arrays rather than a callback keep
+      the values unboxed.  Columns are ordered by a static Markowitz
+      heuristic; rows by threshold partial pivoting with deterministic
+      tie-breaks.
 
       Positions whose column admits no acceptable pivot (a singular or
       numerically dependent basis) are patched with unit columns of the

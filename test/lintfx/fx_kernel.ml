@@ -48,3 +48,26 @@ let[@lint.noalloc] ok_local_ref x =
     acc := !acc +. x.(i)
   done;
   !acc
+
+(* positive: a float crosses a compilation-unit boundary on every
+   element; under -opaque the call is never inlined and boxes it *)
+let[@lint.noalloc] bad_cross_unit_float x =
+  let n = ref 0 in
+  for i = 0 to Array.length x - 1 do
+    if Fx_leaf.nonzero x.(i) then incr n
+  done;
+  !n
+
+(* the same zero test as an inlinable helper in this unit *)
+let[@inline] nonzero x = not (Float.equal x 0.)
+
+(* negative: the float stays inside the unit *)
+let[@lint.noalloc] ok_local_float x =
+  let n = ref 0 in
+  for i = 0 to Array.length x - 1 do
+    if nonzero x.(i) then incr n
+  done;
+  !n
+
+(* negative: a cross-unit call whose signature carries no float *)
+let[@lint.noalloc] ok_cross_unit_int n = Fx_leaf.pure n

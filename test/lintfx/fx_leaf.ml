@@ -10,3 +10,6 @@ let pure x = (x * 7) + 3
 (* i1 seed that must NOT be reported: nothing reachable from the
    analysis roots ever calls this *)
 let clock () = Unix.gettimeofday ()
+
+(* float-taking helper for the cross-unit boxing fixtures in Fx_kernel *)
+let nonzero x = not (Float.equal x 0.)

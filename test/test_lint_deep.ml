@@ -184,7 +184,25 @@ let i3_negatives () =
            (fun f ->
              List.mem ("Flexile_lintfx.Fx_kernel." ^ fn) (chain_fns f))
            (findings "i3-noalloc")))
-    [ "saxpy"; "ok_growth"; "ok_local_ref" ]
+    [
+      "saxpy";
+      "ok_growth";
+      "ok_local_ref";
+      "ok_local_float";
+      "ok_cross_unit_int";
+    ]
+
+let i3_cross_unit_float () =
+  match
+    find_with_chain "i3-noalloc"
+      [ "Flexile_lintfx.Fx_kernel.bad_cross_unit_float" ]
+  with
+  | None -> Alcotest.fail "no i3 finding inside bad_cross_unit_float"
+  | Some f ->
+      Alcotest.(check bool) "names the callee" true
+        (contains f.L.message "Flexile_lintfx.Fx_leaf.nonzero");
+      Alcotest.(check bool) "names the boxing" true
+        (contains f.L.message "boxed")
 
 let i3_alloc_ok_used () =
   let r = Lazy.force report in
@@ -196,7 +214,7 @@ let i3_alloc_ok_used () =
 (* ---- plumbing ---- *)
 
 let total_findings () =
-  Alcotest.(check int) "exactly the seeded findings" 8
+  Alcotest.(check int) "exactly the seeded findings" 9
     (List.length (Lazy.force report).L.findings)
 
 let cmt_error () =
@@ -225,6 +243,7 @@ let () =
           Alcotest.test_case "transitive chain" `Quick i3_transitive_chain;
           Alcotest.test_case "closure" `Quick i3_closure;
           Alcotest.test_case "negatives" `Quick i3_negatives;
+          Alcotest.test_case "cross-unit float" `Quick i3_cross_unit_float;
           Alcotest.test_case "alloc_ok used" `Quick i3_alloc_ok_used;
         ] );
       ( "plumbing",

@@ -257,6 +257,25 @@ let test_mip_infeasible () =
   let r = Mip.solve ~binaries:[| a; b |] m in
   if r.Mip.status <> Mip.Infeasible then Alcotest.fail "expected infeasible"
 
+let test_mip_unbounded () =
+  (* min -x over x >= 0 with no upper bound, plus a binary z: the root
+     relaxation is unbounded, so the subtree below it stays unexplored.
+     The search must say so — neither "infeasible" nor "optimal" — and
+     keep the root's bound. *)
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m ~obj:(-1.) () in
+  let z = Lp_model.add_var m ~ub:1. () in
+  let _ = Lp_model.add_row m Lp_model.Ge 0. [ (x, 1.); (z, -1.) ] in
+  let r = Mip.solve ~binaries:[| z |] m in
+  (match r.Mip.status with
+  | Mip.Limit -> ()
+  | Mip.Optimal -> Alcotest.fail "unbounded MIP reported optimal"
+  | Mip.Infeasible -> Alcotest.fail "unbounded MIP reported infeasible"
+  | Mip.Feasible -> Alcotest.fail "no incumbent exists, expected Limit");
+  if r.Mip.bound > neg_infinity then
+    Alcotest.failf "bound %g should stay at the unbounded root's -inf"
+      r.Mip.bound
+
 let test_mip_mixed () =
   (* min y - x s.t. y >= 1.3 z, x <= 2 + z, x <= 3, z binary, y >= 0.
      z=1: obj >= 1.3 - 3 = -1.7 ; z=0: obj >= 0 - 2 = -2 -> optimum -2. *)
@@ -593,6 +612,7 @@ let () =
         [
           quick "knapsack" test_mip_knapsack;
           quick "infeasible" test_mip_infeasible;
+          quick "unbounded relaxation is not a proof" test_mip_unbounded;
           quick "mixed binary/continuous" test_mip_mixed;
           quick "heuristic incumbent" test_mip_heuristic_used;
         ] );

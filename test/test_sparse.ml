@@ -27,10 +27,13 @@ let test_svec () =
   Alcotest.(check (float 0.)) "untouched reads zero" 0. (Sp.Svec.get v 5);
   Alcotest.(check bool) "mem on pattern" true (Sp.Svec.mem v 7);
   Alcotest.(check bool) "mem off pattern" false (Sp.Svec.mem v 5);
-  let seen = ref [] in
-  Sp.Svec.iter v (fun i x -> seen := (i, x) :: !seen);
+  let seen =
+    List.init (Sp.Svec.nnz v) (fun p ->
+        let i = (Sp.Svec.pattern v).(p) in
+        (i, (Sp.Svec.values v).(i)))
+  in
   Alcotest.(check (list (pair int (float 0.))))
-    "insertion order" [ (3, 2.); (7, 2.) ] (List.rev !seen);
+    "insertion order" [ (3, 2.); (7, 2.) ] seen;
   Sp.Svec.clear v;
   Alcotest.(check int) "clear resets" 0 (Sp.Svec.nnz v);
   Alcotest.(check (float 0.)) "cleared entry" 0. (Sp.Svec.get v 3)
@@ -76,6 +79,16 @@ let random_cols prng m =
       done;
       !l)
 
+(* [Basis.factor] over columns given as (row, value) lists. *)
+let factor_cols basis cols =
+  let col_start = Array.make (Array.length cols + 1) 0 in
+  Array.iteri
+    (fun pos col -> col_start.(pos + 1) <- col_start.(pos) + List.length col)
+    cols;
+  let entries = Array.of_list (List.concat (Array.to_list cols)) in
+  Sp.Basis.factor basis ~col_start ~row_idx:(Array.map fst entries)
+    ~values:(Array.map snd entries)
+
 let cols_to_dense m cols =
   let d = Array.init m (fun _ -> Array.make m 0.) in
   Array.iteri
@@ -91,8 +104,7 @@ let test_kernel_vs_dense () =
     let dense = cols_to_dense m cols in
     let basis = Sp.Basis.create m in
     let patched =
-      Sp.Basis.factor basis ~col:(fun pos f ->
-          List.iter (fun (i, v) -> f i v) cols.(pos))
+      factor_cols basis cols
     in
     Alcotest.(check int)
       (Printf.sprintf "trial %d: invertible matrix needs no patch" trial)
@@ -138,8 +150,7 @@ let test_singular_factor_patches () =
     done;
     let basis = Sp.Basis.create m in
     let patched =
-      Sp.Basis.factor basis ~col:(fun pos f ->
-          List.iter (fun (i, v) -> f i v) cols.(pos))
+      factor_cols basis cols
     in
     if !dups <> [] then
       Alcotest.(check bool)
@@ -171,8 +182,7 @@ let test_eta_vs_fresh_factor () =
     let cols = random_cols prng m in
     let basis = Sp.Basis.create m in
     let patched =
-      Sp.Basis.factor basis ~col:(fun pos f ->
-          List.iter (fun (i, v) -> f i v) cols.(pos))
+      factor_cols basis cols
     in
     Alcotest.(check int) "no patch" 0 (List.length patched);
     (* replace column r by a fresh random column with w_r bounded away
@@ -190,8 +200,7 @@ let test_eta_vs_fresh_factor () =
     cols'.(r) <- newcol;
     let fresh = Sp.Basis.create m in
     let patched' =
-      Sp.Basis.factor fresh ~col:(fun pos f ->
-          List.iter (fun (i, v) -> f i v) cols'.(pos))
+      factor_cols fresh cols'
     in
     Alcotest.(check int) "no patch after replacement" 0 (List.length patched');
     let b = Array.init m (fun _ -> Prng.uniform prng (-5.) 5.) in
@@ -381,6 +390,34 @@ let test_eta_vs_refactor_walk () =
         Alcotest.failf "step %d: obj %.12g (eta) vs %.12g (refactor)" i o1 o2)
     (List.combine with_eta without_eta)
 
+(* ---- allocation budget of a cold solve ----
+
+   A solve allocates its workspaces once, O(n + m) words, and nothing
+   per pivot (DESIGN.md section 11).  The dev profile compiles every
+   module [-opaque], so one float-taking call across modules inside a
+   per-element kernel (a [Float_cmp.nonzero] in [Basis.ftran], a
+   callback over the pivot-row pattern) boxes on every pivot and blows
+   this budget by an order of magnitude on an LP of this length. *)
+
+let test_solve_alloc_budget () =
+  let prng = Prng.of_string "sparse-alloc-budget" in
+  let m = random_lp prng ~nv:300 ~nr:200 in
+  (* first solve: builds the lazy CSC and any other one-time state *)
+  ignore (Simplex.solve m);
+  let w0 = Gc.minor_words () in
+  let sol = Simplex.solve m in
+  let words = Gc.minor_words () -. w0 in
+  if sol.Simplex.iterations < 200 then
+    Alcotest.failf "LP too short to measure the pivot loop: %d iterations"
+      sol.Simplex.iterations;
+  let n = Lp_model.nvars m and rows = Lp_model.nrows m in
+  let budget = float_of_int ((64 * (n + (2 * rows))) + 8192) in
+  if words > budget then
+    Alcotest.failf
+      "cold solve allocated %.0f minor words over %d iterations; the \
+       budget is %.0f, independent of the iteration count"
+      words sol.Simplex.iterations budget
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "flexile_sparse"
@@ -400,5 +437,8 @@ let () =
         ] );
       ( "eta-file",
         [ quick "warm walk: eta = refactor-every-pivot" test_eta_vs_refactor_walk ]
+      );
+      ( "allocation",
+        [ quick "cold solve stays within its setup budget" test_solve_alloc_budget ]
       );
     ]

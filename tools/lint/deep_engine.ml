@@ -9,9 +9,11 @@
 
    Soundness boundaries (documented in DESIGN.md section 14): i2 flags
    direct writes to captured state only (aliasing a captured ref into a
-   callee escapes the analysis); i3 ignores float boxing (the dynamic
-   span GC-delta check remains the evidence there) and sanctions local
-   refs whose every use is a deref/assign; calls through parameters are
+   callee escapes the analysis); i3 sanctions local refs whose every use
+   is a deref/assign, and of float boxing it checks the one systematic
+   source: a call that passes or returns a float across compilation
+   units (the dev profile compiles [-opaque], so such a call is never
+   inlined and boxes on every call); calls through parameters are
    unfollowable and are therefore rejected inside noalloc contexts and
    ignored elsewhere. *)
 
@@ -167,7 +169,10 @@ type fn_info = {
   key : string;  (* canonical dotted name, e.g. Flexile_lp.Sparse.Svec.add *)
   fi_file : string;
   fi_line : int;
+  fi_unit : string;  (* compilation unit, e.g. Flexile_lp.Sparse *)
   mutable calls : (string * int) list;  (* canonical callee, call line *)
+  mutable float_calls : (string * int) list;
+      (* the calls whose signature passes or returns a float *)
   mutable param_calls : (string * int) list;  (* unfollowable callees *)
   mutable prims : (string * int) list;  (* nondet primitive, line *)
   mutable allocs : (string * int) list;  (* what allocates, line *)
@@ -264,6 +269,25 @@ let rec is_arrow_ty ty =
   | Types.Tarrow _ -> true
   | Types.Tpoly (t, _) -> is_arrow_ty t
   | _ -> false
+
+(* [float] or the stdlib's [Float.t] alias (what [Float.equal] and
+   friends infer).  Other abbreviations are not expanded: the cmt keeps
+   only an environment summary. *)
+let is_float_or_alias ty =
+  is_float_ty ty
+  ||
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> (
+      match Path.name p with "Float.t" | "Stdlib.Float.t" -> true | _ -> false)
+  | _ -> false
+
+(* A function type with a float parameter or a float result, as
+   instantiated at the call site. *)
+let rec carries_float ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, arg, ret, _) -> is_float_or_alias arg || carries_float ret
+  | Types.Tpoly (t, _) -> carries_float t
+  | _ -> is_float_or_alias ty
 
 (* Resolve a value reference to one of: an unfollowable local (`Param),
    an already-walked local binding (`Walked), or a canonical name. *)
@@ -498,8 +522,12 @@ and walk_expr_desc st e =
                      (line_of e.exp_loc));
               if List.mem n allocators then
                 record_alloc st ("call to " ^ n) (line_of e.exp_loc);
-              if String.contains n '.' || Hashtbl.mem st.g.fns n then
+              if String.contains n '.' || Hashtbl.mem st.g.fns n then begin
                 st.fn.calls <- (n, line_of e.exp_loc) :: st.fn.calls;
+                if carries_float f.exp_type then
+                  st.fn.float_calls <-
+                    (n, line_of e.exp_loc) :: st.fn.float_calls
+              end;
               if List.mem n raise_family then st.err_depth <- st.err_depth + 1;
               if List.mem n shard_apis then begin
                 st.fn.shard_caller <- true;
@@ -623,7 +651,7 @@ let rec module_alias_target me =
   | Tmod_constraint (me', _, _, _) -> module_alias_target me'
   | _ -> None
 
-let rec walk_structure g aliases ~file ~modpath str =
+let rec walk_structure g aliases ~file ~cunit ~modpath str =
   List.iter
     (fun item ->
       match item.str_desc with
@@ -640,7 +668,9 @@ let rec walk_structure g aliases ~file ~modpath str =
                       key;
                       fi_file = file;
                       fi_line = line_of vb.vb_loc;
+                      fi_unit = cunit;
                       calls = [];
+                      float_calls = [];
                       param_calls = [];
                       prims = [];
                       allocs = [];
@@ -666,13 +696,13 @@ let rec walk_structure g aliases ~file ~modpath str =
                   walk_binding_body st vb.vb_expr
               | _ -> ())
             vbs
-      | Tstr_module mb -> walk_module g aliases ~file ~modpath mb
+      | Tstr_module mb -> walk_module g aliases ~file ~cunit ~modpath mb
       | Tstr_recmodule mbs ->
-          List.iter (walk_module g aliases ~file ~modpath) mbs
+          List.iter (walk_module g aliases ~file ~cunit ~modpath) mbs
       | _ -> ())
     str.str_items
 
-and walk_module g aliases ~file ~modpath mb =
+and walk_module g aliases ~file ~cunit ~modpath mb =
   let name =
     match mb.mb_name.txt with Some n -> n | None -> "_"
   in
@@ -683,7 +713,9 @@ and walk_module g aliases ~file ~modpath mb =
       let rec submod me =
         match me.mod_desc with
         | Tmod_structure str ->
-            walk_structure g aliases ~file ~modpath:(modpath ^ "." ^ name) str
+            walk_structure g aliases ~file ~cunit
+              ~modpath:(modpath ^ "." ^ name)
+              str
         | Tmod_constraint (me', _, _, _) -> submod me'
         | _ -> ()
       in
@@ -700,9 +732,8 @@ let load_cmt g path =
           match cmt.Cmt_format.cmt_sourcefile with Some f -> f | None -> path
         in
         let aliases = Hashtbl.create 8 in
-        walk_structure g aliases ~file
-          ~modpath:(canon_mod cmt.Cmt_format.cmt_modname)
-          str
+        let cunit = canon_mod cmt.Cmt_format.cmt_modname in
+        walk_structure g aliases ~file ~cunit ~modpath:cunit str
     | _ -> ());
     true
   with exn ->
@@ -820,6 +851,20 @@ let run_noalloc g =
                     kernel %s cannot be proven allocation-free"
                    p root.key))
             (List.rev fn.param_calls);
+          List.iter
+            (fun (callee, line) ->
+              match Hashtbl.find_opt g.fns callee with
+              | Some c when c.fi_unit <> fn.fi_unit ->
+                  emit g fn "i3-noalloc" ~line ~chain:chain_here
+                    (Printf.sprintf
+                       "call to %s passes or returns a float across \
+                        compilation units inside [@lint.noalloc] kernel %s; \
+                        -opaque keeps it from inlining, so the float is \
+                        boxed on every call — use an [@inline] helper in \
+                        this unit"
+                       callee root.key)
+              | _ -> ())
+            (List.rev fn.float_calls);
           List.iter
             (fun (callee, line) ->
               if Hashtbl.mem g.fns callee then visit chain_here callee
