@@ -68,15 +68,28 @@ let parse_mix spec =
       end)
     tokens
 
+(* The shuffle permutes pair indices (the positions of [Graph.pairs]'s
+   lexicographic order) rather than the pairs themselves: the same
+   draws pick the same pairs, and only the chosen indices are decoded. *)
 let sample_pairs ~seed ~max_pairs graph =
-  let all = Graph.pairs graph in
-  if Array.length all <= max_pairs then all
+  let n = graph.Graph.n in
+  let npairs = n * (n - 1) / 2 in
+  if npairs <= max_pairs then Graph.pairs graph
   else begin
-    let copy = Array.copy all in
-    Prng.shuffle seed copy;
-    let chosen = Array.sub copy 0 max_pairs in
-    Array.sort compare chosen;
-    chosen
+    let idx = Array.init npairs Fun.id in
+    Prng.shuffle seed idx;
+    let chosen = Array.sub idx 0 max_pairs in
+    Array.sort Int.compare chosen;
+    Array.map
+      (fun i ->
+        (* row u holds the n - 1 - u pairs (u, u+1 .. n-1) *)
+        let u = ref 0 and i = ref i in
+        while !i >= n - 1 - !u do
+          i := !i - (n - 1 - !u);
+          incr u
+        done;
+        (!u, !u + 1 + !i))
+      chosen
   end
 
 let scenarios_for ~options ~seed graph =
@@ -244,23 +257,15 @@ let single_class ?(options = default_options) ~graph () =
 let two_class ?(options = default_options) ~graph () =
   let seed = Prng.of_string ("flexile-instance2-" ^ graph.Graph.name) in
   let pairs = sample_pairs ~seed:(Prng.split seed "pairs") ~max_pairs:options.max_pairs graph in
-  let tunnels_high =
+  let selected =
     Array.map
-      (fun (u, v) ->
-        Array.of_list
-          (Tunnels.select_high_priority graph ~pair:(u, v)
-             ~count:options.tunnels_per_pair))
+      (fun pair ->
+        Tunnels.select_two_class graph ~pair ~count:options.tunnels_per_pair
+          ~extra:options.low_extra_tunnels)
       pairs
   in
-  let tunnels_low =
-    Array.mapi
-      (fun i (u, v) ->
-        Array.of_list
-          (Tunnels.select_low_priority graph ~pair:(u, v)
-             ~high:(Array.to_list tunnels_high.(i))
-             ~extra:options.low_extra_tunnels))
-      pairs
-  in
+  let tunnels_high = Array.map (fun (high, _) -> Array.of_list high) selected in
+  let tunnels_low = Array.map (fun (_, low) -> Array.of_list low) selected in
   let base =
     scaled_gravity ~options ~seed:(Prng.split seed "traffic") graph pairs
       tunnels_high

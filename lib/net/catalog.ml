@@ -81,12 +81,12 @@ let srlgs (g : Graph.t) =
   Array.iter
     (fun node ->
       if Flexile_util.Prng.int seed 3 = 0 then begin
-        let unassigned =
-          List.filter_map
-            (fun (eid, _) -> if assigned.(eid) then None else Some eid)
-            g.Graph.adj.(node)
-        in
-        let unassigned = List.sort_uniq compare unassigned in
+        let unassigned = ref [] in
+        for s = g.Graph.adj_start.(node) to g.Graph.adj_start.(node + 1) - 1 do
+          let eid = g.Graph.adj_edge.(s) in
+          if not assigned.(eid) then unassigned := eid :: !unassigned
+        done;
+        let unassigned = List.sort_uniq compare !unassigned in
         let take = min (2 + Flexile_util.Prng.int seed 2) (List.length unassigned) in
         if take >= 2 then begin
           let members = Array.of_list (List.filteri (fun i _ -> i < take) unassigned) in

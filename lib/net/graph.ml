@@ -4,8 +4,37 @@ type t = {
   name : string;
   n : int;
   edges : edge array;
-  adj : (int * int) list array;
+  adj_start : int array;
+  adj_edge : int array;
+  adj_node : int array;
 }
+
+(* CSR adjacency: node x's incidences are slots
+   [adj_start.(x) .. adj_start.(x + 1) - 1], in increasing edge id. *)
+let of_edges ~name ~n edges =
+  let adj_start = Array.make (n + 1) 0 in
+  Array.iter
+    (fun e ->
+      adj_start.(e.u + 1) <- adj_start.(e.u + 1) + 1;
+      adj_start.(e.v + 1) <- adj_start.(e.v + 1) + 1)
+    edges;
+  for x = 0 to n - 1 do
+    adj_start.(x + 1) <- adj_start.(x + 1) + adj_start.(x)
+  done;
+  let fill = Array.sub adj_start 0 n in
+  let adj_edge = Array.make adj_start.(n) 0 in
+  let adj_node = Array.make adj_start.(n) 0 in
+  let put x eid y =
+    adj_edge.(fill.(x)) <- eid;
+    adj_node.(fill.(x)) <- y;
+    fill.(x) <- fill.(x) + 1
+  in
+  Array.iter
+    (fun e ->
+      put e.u e.id e.v;
+      put e.v e.id e.u)
+    edges;
+  { name; n; edges; adj_start; adj_edge; adj_node }
 
 let create ~name ~n links =
   let edges =
@@ -18,14 +47,7 @@ let create ~name ~n links =
         { id; u; v; capacity; group = id })
       links
   in
-  let adj = Array.make n [] in
-  Array.iter
-    (fun e ->
-      adj.(e.u) <- (e.id, e.v) :: adj.(e.u);
-      adj.(e.v) <- (e.id, e.u) :: adj.(e.v))
-    edges;
-  Array.iteri (fun i l -> adj.(i) <- List.rev l) adj;
-  { name; n; edges; adj }
+  of_edges ~name ~n edges
 
 let nedges g = Array.length g.edges
 
@@ -41,13 +63,13 @@ let bfs g alive start =
   Queue.add start q;
   while not (Queue.is_empty q) do
     let x = Queue.pop q in
-    List.iter
-      (fun (eid, y) ->
-        if alive eid && not seen.(y) then begin
-          seen.(y) <- true;
-          Queue.add y q
-        end)
-      g.adj.(x)
+    for s = g.adj_start.(x) to g.adj_start.(x + 1) - 1 do
+      let y = g.adj_node.(s) in
+      if alive g.adj_edge.(s) && not seen.(y) then begin
+        seen.(y) <- true;
+        Queue.add y q
+      end
+    done
   done;
   seen
 
@@ -61,7 +83,7 @@ let is_connected_graph g ?(alive = fun _ -> true) () =
     Array.for_all (fun b -> b) seen
   end
 
-let degree g x = List.length g.adj.(x)
+let degree g x = g.adj_start.(x + 1) - g.adj_start.(x)
 
 let split_links g =
   let links = Array.length g.edges in
@@ -76,14 +98,7 @@ let split_links g =
           group = parent.id;
         })
   in
-  let adj = Array.make g.n [] in
-  Array.iter
-    (fun e ->
-      adj.(e.u) <- (e.id, e.v) :: adj.(e.u);
-      adj.(e.v) <- (e.id, e.u) :: adj.(e.v))
-    edges;
-  Array.iteri (fun i l -> adj.(i) <- List.rev l) adj;
-  { name = g.name ^ "-rich"; n = g.n; edges; adj }
+  of_edges ~name:(g.name ^ "-rich") ~n:g.n edges
 
 let pairs g =
   let acc = ref [] in

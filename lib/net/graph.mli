@@ -20,7 +20,13 @@ type t = private {
   name : string;
   n : int;
   edges : edge array;
-  adj : (int * int) list array;  (** node -> [(edge id, neighbor)] *)
+  adj_start : int array;
+      (** CSR adjacency, length [n + 1]: node [x]'s incidences are the
+          slots [adj_start.(x) .. adj_start.(x + 1) - 1] of the two
+          arrays below, in increasing edge id (each edge appears once
+          at each endpoint) *)
+  adj_edge : int array;  (** slot -> edge id *)
+  adj_node : int array;  (** slot -> the neighbor across that edge *)
 }
 
 val create : name:string -> n:int -> (int * int * float) array -> t

@@ -2,7 +2,12 @@
 
     A path is the edge-id sequence from source to destination; node
     sequences are derivable via {!nodes}.  Edge weights default to 1.0
-    (hop count), the latency proxy used for tunnel selection. *)
+    (hop count), the latency proxy used for tunnel selection.
+
+    Every Dijkstra run reuses one workspace per graph and domain (see
+    DESIGN.md section 17) and allocates nothing but the path it
+    returns.  Each call adds its work to the trace counters
+    [paths.dijkstra_runs] and [paths.heap_pops]. *)
 
 type path = int array
 (** Edge ids in order from source to destination. *)
@@ -10,8 +15,6 @@ type path = int array
 val nodes : Graph.t -> src:int -> path -> int array
 (** Node sequence visited by a path starting at [src]
     (length = path length + 1). *)
-
-val length : ?weight:(int -> float) -> path -> float
 
 val shortest :
   Graph.t ->
@@ -26,7 +29,10 @@ val shortest :
     elements ([node_ok] is not consulted for [src] and [dst]). *)
 
 val k_shortest : Graph.t -> ?weight:(int -> float) -> k:int -> src:int -> dst:int -> unit -> path list
-(** Yen's algorithm: up to [k] loopless paths by nondecreasing weight. *)
+(** Yen's algorithm with Lawler's deviation restriction: up to [k]
+    loopless paths by nondecreasing weight ([[]] when [k <= 0]).  Ties
+    resolve deterministically, and the first [n] paths do not depend on
+    [k >= n]. *)
 
 val edge_set : path -> (int, unit) Hashtbl.t
 val shares_edge : path -> path -> bool

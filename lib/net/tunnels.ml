@@ -44,11 +44,19 @@ let select_single_class g ~pair ~count =
   let cands = pool g ~pair ~k:(max (3 * count) 12) in
   List.map (make g ~pair) (greedy_disjoint cands count)
 
+(* Pool sizes: each class draws its candidates from the k shortest
+   paths of the pair. *)
+let high_pool_k count = max (3 * count) 12
+let low_pool_k ~nhigh ~extra = max (4 * (nhigh + extra)) 20
+
+let rec prefix n = function
+  | x :: tl when n > 0 -> x :: prefix (n - 1) tl
+  | _ -> []
+
 (* An edge common to all chosen paths is a single point of failure;
    choose shortest paths first but replace the last pick if a
    SPOF-free combination exists among the candidates. *)
-let select_high_priority g ~pair ~count =
-  let cands = pool g ~pair ~k:(max (3 * count) 12) in
+let high_of_pool g ~pair ~count cands =
   match cands with
   | [] -> []
   | first :: _ ->
@@ -66,11 +74,7 @@ let select_high_priority g ~pair ~count =
             common <> []
       in
       (* shortest-first prefix *)
-      let rec take n = function
-        | [] -> []
-        | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
-      in
-      let base = take count cands in
+      let base = prefix count cands in
       let chosen =
         if not (has_spof base) then base
         else begin
@@ -94,8 +98,7 @@ let select_high_priority g ~pair ~count =
       in
       List.map (make g ~pair) chosen
 
-let select_low_priority g ~pair ~high ~extra =
-  let cands = pool g ~pair ~k:(max (4 * (List.length high + extra)) 20) in
+let low_of_pool g ~pair ~high ~extra cands =
   let high_paths = List.map (fun t -> t.path) high in
   let fresh =
     List.filter (fun p -> not (List.exists (fun q -> q = p) high_paths)) cands
@@ -128,3 +131,23 @@ let select_low_priority g ~pair ~high ~extra =
   in
   let extras = go [] fresh extra in
   high @ List.map (make g ~pair) extras
+
+let select_high_priority g ~pair ~count =
+  high_of_pool g ~pair ~count (pool g ~pair ~k:(high_pool_k count))
+
+let select_low_priority g ~pair ~high ~extra =
+  let k = low_pool_k ~nhigh:(List.length high) ~extra in
+  low_of_pool g ~pair ~high ~extra (pool g ~pair ~k)
+
+(* Yen's output is prefix-consistent in k (its first n paths do not
+   depend on how many more are asked for), so one pool sized for the
+   larger class serves both: each class takes the prefix it would have
+   computed on its own. *)
+let select_two_class g ~pair ~count ~extra =
+  let k_high = high_pool_k count in
+  let k = max k_high (low_pool_k ~nhigh:count ~extra) in
+  let cands = pool g ~pair ~k in
+  let high = high_of_pool g ~pair ~count (prefix k_high cands) in
+  let k_low = low_pool_k ~nhigh:(List.length high) ~extra in
+  let low_cands = if k_low <= k then prefix k_low cands else pool g ~pair ~k:k_low in
+  (high, low_of_pool g ~pair ~high ~extra low_cands)

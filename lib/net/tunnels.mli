@@ -28,3 +28,9 @@ val select_high_priority : Graph.t -> pair:int * int -> count:int -> t list
 val select_low_priority :
   Graph.t -> pair:int * int -> high:t list -> extra:int -> t list
 (** High-priority tunnels plus [extra] disjointness-prioritized ones. *)
+
+val select_two_class :
+  Graph.t -> pair:int * int -> count:int -> extra:int -> t list * t list
+(** [(high, low)]: exactly [select_high_priority ~count] and
+    [select_low_priority ~high ~extra], drawn from one k-shortest pool
+    (one run of Yen's algorithm) instead of two. *)
